@@ -8,104 +8,24 @@ conflict repair, then fold mapped pairs and unmapped remainders into a
 single overall contingency table.
 """
 
-from .aggregate import (
-    ALL_COLUMNS,
-    LEAVES,
-    TOP_LEVEL,
-    UNMAPPED_POLICIES,
-    EvaluationReport,
-    PairOutcome,
-    aggregate,
-    evaluate,
-)
-from .mapping import (
-    BRUTE_FORCE_LIMIT,
-    DEFAULT_THRESHOLD,
-    FTable,
-    MappingResult,
-    RemapEvent,
-    brute_force_mapping,
-    build_f_table,
-    initial_potentials,
-    resolve_conflicts,
-)
-from .metrics import (
-    ContingencyTable,
-    Scores,
-    co_classified_pairs,
-    contingency,
-    f_measure,
-    pair_baseline,
-    scores,
-)
-from .model import (
-    FLATTEN_MODES,
-    INHERIT,
-    OWN_ONLY,
-    Clustering,
-    Column,
-    ColumnList,
-    DocumentError,
-    ExpertHierarchy,
-    HierarchyNode,
-    LabeledClass,
-    as_flat_hierarchy,
-    flatten,
-    normalize_token,
-    parse_clustering,
-    parse_hierarchy,
-    serialize_clustering,
-    serialize_hierarchy,
-)
-from .testkit import GenSpec, SplitMix64, gen_clustering, gen_hierarchy, perturb
+from .aggregate import EvaluationReport, aggregate, evaluate
+from .mapping import brute_force_mapping, build_f_table, initial_potentials, resolve_conflicts
+from .metrics import pair_baseline
+from .model import DocumentError, flatten, parse_clustering, parse_hierarchy
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_COLUMNS",
-    "BRUTE_FORCE_LIMIT",
-    "Clustering",
-    "Column",
-    "ColumnList",
-    "ContingencyTable",
-    "DEFAULT_THRESHOLD",
     "DocumentError",
     "EvaluationReport",
-    "ExpertHierarchy",
-    "FLATTEN_MODES",
-    "FTable",
-    "GenSpec",
-    "HierarchyNode",
-    "INHERIT",
-    "LEAVES",
-    "LabeledClass",
-    "MappingResult",
-    "OWN_ONLY",
-    "PairOutcome",
-    "RemapEvent",
-    "Scores",
-    "SplitMix64",
-    "TOP_LEVEL",
-    "UNMAPPED_POLICIES",
     "aggregate",
-    "as_flat_hierarchy",
     "brute_force_mapping",
     "build_f_table",
-    "co_classified_pairs",
-    "contingency",
     "evaluate",
-    "f_measure",
     "flatten",
-    "gen_clustering",
-    "gen_hierarchy",
     "initial_potentials",
-    "normalize_token",
     "pair_baseline",
     "parse_clustering",
     "parse_hierarchy",
-    "perturb",
     "resolve_conflicts",
-    "scores",
-    "serialize_clustering",
-    "serialize_hierarchy",
 ]

@@ -9,17 +9,21 @@ decimals; JSON reports carry full precision.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, aggregate
 from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, build_f_table, resolve_conflicts
-from .metrics import co_classified_pairs, pair_baseline
+from .metrics import pair_baseline
 from .model import (
     FLATTEN_MODES,
     INHERIT,
+    Clustering,
+    ColumnList,
     DocumentError,
     flatten,
     parse_clustering,
@@ -195,101 +199,96 @@ def evaluation_to_dict(
     return doc
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def table_to_dict(
+    expert_path: str, table: FTable, mapping: MappingResult, include_trace: bool
+) -> dict:
+    doc = {
+        "expert": expert_path,
+        "threshold": mapping.threshold,
+        "rows": list(table.row_labels),
+        "columns": [_path_str(p) for p in table.col_paths],
+        "cells": [list(row) for row in table.cells],
+        "mapping": {
+            "pairs": [
+                {
+                    "system_class": table.row_labels[row],
+                    "expert_column": _path_str(table.col_paths[col]),
+                    "f_measure": f,
+                }
+                for row, col, f in mapping.pairs
+            ],
+            "unmapped_rows": [table.row_labels[r] for r in mapping.unmapped_rows],
+            "unmapped_cols": [_path_str(table.col_paths[c]) for c in mapping.unmapped_cols],
+        },
+    }
+    if include_trace:
+        doc["trace"] = _trace_doc(table, mapping)
+    return doc
+
+
+def _experts(args: argparse.Namespace) -> Iterator[tuple[Clustering, str, ColumnList, FTable]]:
+    """Yield (system, expert path, columns, F-table) per expert, in argument
+    order. Every input file is parsed before the first item is yielded, so a
+    malformed later expert fails the command before any work is done."""
     system = parse_clustering(_read(args.system))
     experts = [(path, parse_hierarchy(_read(path))) for path in args.expert]
-
-    blocks: list[str] = []
-    docs: list[dict] = []
-    summary: list[tuple[str, EvaluationReport]] = []
     for expert_path, hierarchy in experts:
         columns = flatten(hierarchy, args.flatten)
-        table = build_f_table(system, columns)
-        mapping = resolve_conflicts(table, args.threshold)
-        report = aggregate(system, columns, mapping, args.unmapped_cols)
-        summary.append((expert_path, report))
-        if args.format == "json":
-            docs.append(evaluation_to_dict(expert_path, report, table, mapping, args.trace))
-        else:
-            block = render_evaluation_text(args.system, expert_path, report)
-            if args.trace:
-                block += render_trace_text(table, mapping)
-            blocks.append(block)
+        yield system, expert_path, columns, build_f_table(system, columns)
 
+
+def _write_report(args: argparse.Namespace, items: list, summary: Sequence = ()) -> int:
+    """Write per-expert JSON documents, or text blocks plus the (path, report)
+    summary when there is more than one expert, as one output."""
     if args.format == "json":
-        out = json.dumps({"system": args.system, "experts": docs}, indent=2) + "\n"
+        out = json.dumps({"system": args.system, "experts": items}, indent=2) + "\n"
     else:
-        out = "\n".join(blocks)
+        out = "\n".join(items)
         if len(summary) > 1:
             out += "\n" + render_summary_text(summary)
     sys.stdout.write(out)
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    system = parse_clustering(_read(args.system))
-    experts = [(path, parse_hierarchy(_read(path))) for path in args.expert]
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    items: list = []
+    summary: list[tuple[str, EvaluationReport]] = []
+    for system, expert_path, columns, table in _experts(args):
+        mapping = resolve_conflicts(table, args.threshold)
+        report = aggregate(system, columns, mapping, args.unmapped_cols)
+        summary.append((expert_path, report))
+        if args.format == "json":
+            items.append(evaluation_to_dict(expert_path, report, table, mapping, args.trace))
+        else:
+            block = render_evaluation_text(args.system, expert_path, report)
+            items.append(block + render_trace_text(table, mapping) if args.trace else block)
+    return _write_report(args, items, summary)
 
-    blocks: list[str] = []
-    docs: list[dict] = []
-    for expert_path, hierarchy in experts:
-        columns = flatten(hierarchy, args.flatten)
-        table = build_f_table(system, columns)
+
+def cmd_table(args: argparse.Namespace) -> int:
+    items: list = []
+    for _system, expert_path, _columns, table in _experts(args):
         mapping = resolve_conflicts(table, args.threshold)
         if args.format == "json":
-            doc = {
-                "expert": expert_path,
-                "threshold": mapping.threshold,
-                "rows": list(table.row_labels),
-                "columns": [_path_str(p) for p in table.col_paths],
-                "cells": [list(row) for row in table.cells],
-                "mapping": {
-                    "pairs": [
-                        {
-                            "system_class": table.row_labels[row],
-                            "expert_column": _path_str(table.col_paths[col]),
-                            "f_measure": f,
-                        }
-                        for row, col, f in mapping.pairs
-                    ],
-                    "unmapped_rows": [table.row_labels[r] for r in mapping.unmapped_rows],
-                    "unmapped_cols": [_path_str(table.col_paths[c]) for c in mapping.unmapped_cols],
-                },
-            }
-            if args.trace:
-                doc["trace"] = _trace_doc(table, mapping)
-            docs.append(doc)
+            items.append(table_to_dict(expert_path, table, mapping, args.trace))
         else:
             block = render_table_text(args.system, expert_path, table, mapping)
-            if args.trace:
-                block += render_trace_text(table, mapping)
-            blocks.append(block)
-
-    if args.format == "json":
-        out = json.dumps({"system": args.system, "experts": docs}, indent=2) + "\n"
-    else:
-        out = "\n".join(blocks)
-    sys.stdout.write(out)
-    return 0
+            items.append(block + render_trace_text(table, mapping) if args.trace else block)
+    return _write_report(args, items)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    system = parse_clustering(_read(args.system))
-    experts = [(path, parse_hierarchy(_read(path))) for path in args.expert]
-
-    lines = [SWEEP_HEADER]
-    for expert_path, hierarchy in experts:
-        columns = flatten(hierarchy, args.flatten)
-        table = build_f_table(system, columns)
+    out = io.StringIO()
+    out.write(SWEEP_HEADER + "\n")
+    rows = csv.writer(out, lineterminator="\n")
+    for system, expert_path, columns, table in _experts(args):
         for threshold in args.thresholds:
             mapping = resolve_conflicts(table, threshold)
-            report = aggregate(system, columns, mapping, args.unmapped_cols)
-            s = report.overall_scores
-            lines.append(
-                f"{expert_path},{threshold!r},{len(mapping.pairs)}"
-                f",{s.precision!r},{s.recall!r},{s.f_measure!r}"
+            s = aggregate(system, columns, mapping, args.unmapped_cols).overall_scores
+            rows.writerow(
+                [expert_path, threshold, len(mapping.pairs), s.precision, s.recall, s.f_measure]
             )
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(out.getvalue())
     return 0
 
 
@@ -299,10 +298,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     table, s = pair_baseline(system, expert)
 
     lines = [f"pair baseline: {args.system} vs {args.expert}"]
-    lines.append(
-        f"system pairs={len(co_classified_pairs(system))}"
-        f" expert pairs={len(co_classified_pairs(expert))}"
-    )
+    lines.append(f"system pairs={table.yy + table.yn} expert pairs={table.yy + table.ny}")
     lines.append(f"contingency: yy={table.yy} yn={table.yn} ny={table.ny}")
     lines.append(
         f"precision={_pct(s.precision)} recall={_pct(s.recall)} f-measure={_f2(s.f_measure)}"
@@ -361,19 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evaluate", help="overall precision/recall/F per expert")
-    _add_io_arguments(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--trace", action="store_true", help="include re-map events")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("table", help="dump the F-measure table and resolved mapping")
-    _add_io_arguments(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--trace", action="store_true", help="include re-map events")
-    p.set_defaults(func=cmd_table)
+    for name, func, help_text in (
+        ("evaluate", cmd_evaluate, "overall precision/recall/F per expert"),
+        ("table", cmd_table, "dump the F-measure table and resolved mapping"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_io_arguments(p)
+        p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--trace", action="store_true", help="include re-map events")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="CSV of scores across thresholds")
     _add_io_arguments(p)

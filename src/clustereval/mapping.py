@@ -68,6 +68,23 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
+def _result(
+    table: FTable, current: list[int | None], threshold: float, trace: tuple[RemapEvent, ...] = ()
+) -> MappingResult:
+    """Package a row -> column assignment (None = unmapped) as a MappingResult."""
+    pairs = tuple(
+        (row, col, table.cells[row][col]) for row, col in enumerate(current) if col is not None
+    )
+    mapped_cols = {col for _, col, _ in pairs}
+    return MappingResult(
+        pairs=pairs,
+        unmapped_rows=tuple(row for row, col in enumerate(current) if col is None),
+        unmapped_cols=tuple(col for col in range(table.n_cols) if col not in mapped_cols),
+        threshold=threshold,
+        trace=trace,
+    )
+
+
 def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     """Score every (system class, expert column) pair by F-measure."""
     if not system.classes or not len(columns):
@@ -138,17 +155,7 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
         current[row] = alt
         trace.append(RemapEvent(row, col, alt, loss))
 
-    pairs = tuple(
-        (row, col, table.cells[row][col]) for row, col in enumerate(current) if col is not None
-    )
-    mapped_cols = {col for _, col, _ in pairs}
-    return MappingResult(
-        pairs=pairs,
-        unmapped_rows=tuple(row for row, col in enumerate(current) if col is None),
-        unmapped_cols=tuple(col for col in range(table.n_cols) if col not in mapped_cols),
-        threshold=threshold,
-        trace=tuple(trace),
-    )
+    return _result(table, current, threshold, tuple(trace))
 
 
 def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> MappingResult:
@@ -202,14 +209,4 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
                 break
         current.append(choice)
 
-    pairs = tuple(
-        (row, col, table.cells[row][col]) for row, col in enumerate(current) if col is not None
-    )
-    mapped_cols = {col for _, col, _ in pairs}
-    return MappingResult(
-        pairs=pairs,
-        unmapped_rows=tuple(row for row, col in enumerate(current) if col is None),
-        unmapped_cols=tuple(col for col in range(m) if col not in mapped_cols),
-        threshold=threshold,
-        trace=(),
-    )
+    return _result(table, current, threshold)

@@ -27,9 +27,6 @@ class ContingencyTable:
         if self.yy < 0 or self.yn < 0 or self.ny < 0:
             raise ValueError("contingency counts must be nonnegative")
 
-    def __add__(self, other: "ContingencyTable") -> "ContingencyTable":
-        return ContingencyTable(self.yy + other.yy, self.yn + other.yn, self.ny + other.ny)
-
 
 @dataclass(frozen=True)
 class Scores:

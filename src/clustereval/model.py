@@ -96,10 +96,6 @@ class Column:
     path: tuple[str, ...]
     members: frozenset[str]
 
-    @property
-    def label(self) -> str:
-        return self.path[-1]
-
     def path_str(self) -> str:
         return "/".join(self.path)
 
@@ -171,6 +167,8 @@ def _parse_document(text: str) -> tuple[str, list]:
         raise DocumentError(
             f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError("$", "document is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DocumentError("$", "top-level value must be an object")
     name = doc.get("name", "")
@@ -229,7 +227,10 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
             raise DocumentError(loc, f"node {label!r} has neither members nor children")
         return HierarchyNode(label, members, children)
 
-    roots = tuple(parse_node(raw, f"$.classes[{i}]") for i, raw in enumerate(raw_roots))
+    try:
+        roots = tuple(parse_node(raw, f"$.classes[{i}]") for i, raw in enumerate(raw_roots))
+    except RecursionError as exc:
+        raise DocumentError("$", "hierarchy is nested too deeply") from exc
     return ExpertHierarchy(name, roots)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -269,6 +271,19 @@ def test_sweep_matches_evaluate_at_same_threshold(capsys, golden_files):
     assert float(f) == overall["f_measure"]
 
 
+def test_sweep_quotes_expert_paths(capsys, tmp_path, golden_files):
+    system, _ = golden_files
+    expert = tmp_path / 'a,"b".json'
+    expert.write_text(clustering_doc([("B", CLASS_B_MEMBERS)]), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "sweep", "--system", system, "--expert", str(expert), "--thresholds", "0.2"
+    )
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert len(header) == len(row) == 6
+    assert row[0] == str(expert)
+
+
 def test_sweep_rejects_empty_threshold_list(golden_files):
     system, expert = golden_files
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +296,7 @@ def test_baseline_identical_partitions(capsys, tmp_path):
     f.write_text(clustering_doc([("X", ["a", "b"]), ("Y", ["c"])]), encoding="utf-8")
     code, out, _ = run(capsys, "baseline", "--system", str(f), "--expert", str(f))
     assert code == 0
+    assert "system pairs=1 expert pairs=1" in out
     assert "contingency: yy=1 yn=0 ny=0" in out
     assert "f-measure=1.00" in out
     assert "warning" not in out
@@ -293,6 +309,7 @@ def test_baseline_merged_class(capsys, tmp_path):
     expert.write_text(clustering_doc([("P", ["a", "b"]), ("Q", ["c"])]), encoding="utf-8")
     code, out, _ = run(capsys, "baseline", "--system", str(system), "--expert", str(expert))
     assert code == 0
+    assert "system pairs=3 expert pairs=1" in out
     assert "contingency: yy=1 yn=2 ny=0" in out
     assert "precision=33.33 recall=100.00" in out
 
@@ -306,6 +323,7 @@ def test_baseline_warns_on_overlapping_input(capsys, tmp_path):
     expert.write_text(clustering_doc([("P", ["a", "b", "c"])]), encoding="utf-8")
     code, out, _ = run(capsys, "baseline", "--system", str(system), "--expert", str(expert))
     assert code == 0
+    assert "system pairs=2 expert pairs=3" in out
     assert "not a partition" in out
 
 
@@ -319,6 +337,18 @@ def test_baseline_rejects_hierarchy_expert(capsys, tmp_path, golden_files):
     assert code == 2
     assert out == ""
     assert "children" in err
+
+
+def test_deeply_nested_hierarchy_is_an_input_error(capsys, tmp_path, golden_files):
+    system, _ = golden_files
+    depth = 3000
+    nodes = "".join(f'{{"label": "n{i}", "members": ["w{i}"], "children": [' for i in range(depth))
+    expert = tmp_path / "deep.json"
+    expert.write_text('{"classes": [' + nodes + "]}" * depth + "]}", encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", "--system", system, "--expert", str(expert))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $")
 
 
 def test_output_is_deterministic(capsys, golden_files):
