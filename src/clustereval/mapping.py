@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metrics import contingency, scores
+from .metrics import f_measure
 from .model import Clustering, ColumnList
 
 DEFAULT_THRESHOLD = 0.20
@@ -86,15 +86,37 @@ def _result(
 
 
 def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
-    """Score every (system class, expert column) pair by F-measure."""
+    """Score every (system class, expert column) pair by F-measure.
+
+    Only pairs that share a word are scored. Each expert column's words are
+    indexed after intersecting them with the system vocabulary, and a
+    system class's touched columns are the union of its words' postings.
+    The build therefore costs one zero-filled row per system class plus
+    one set intersection per overlapping pair, not one per cell. Every
+    cell equals ``scores(contingency(a, b)).f_measure`` for the class and
+    column word sets; pairs that share no word score 0.0.
+    """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
     col_sets = [col.members for col in columns]
-    cells = tuple(
-        tuple(scores(contingency(cls.member_set, cs)).f_measure for cs in col_sets)
-        for cls in system.classes
-    )
-    return FTable(system.labels(), tuple(col.path for col in columns), cells)
+    vocab = frozenset().union(*(cls.member_set for cls in system.classes))
+    postings: dict[str, list[int]] = {}
+    for col, members in enumerate(col_sets):
+        for word in vocab & members:
+            postings.setdefault(word, []).append(col)
+    rows = []
+    for cls in system.classes:
+        a = cls.member_set
+        touched: set[int] = set()
+        for word in a:
+            touched.update(postings.get(word, ()))
+        row = [0.0] * len(col_sets)
+        for col in touched:
+            b = col_sets[col]
+            yy = len(a & b)
+            row[col] = f_measure(yy / len(a), yy / len(b))
+        rows.append(tuple(row))  # freeze each row so the table is never held twice
+    return FTable(system.labels(), tuple(col.path for col in columns), tuple(rows))
 
 
 def _best_column(row: tuple[float, ...], threshold: float, banned: set[int]) -> int | None:

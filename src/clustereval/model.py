@@ -204,7 +204,8 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
     """Parse and validate a hierarchy document (expert side).
 
     A document with no ``children`` anywhere is a valid degenerate
-    hierarchy. A node may omit its members only if it has children.
+    hierarchy. A node may omit its members only if it has children. Labels
+    may not contain ``/``, which separates the labels of a column path.
     """
     name, raw_roots = _parse_document(text)
     labels: set[str] = set()
@@ -213,6 +214,8 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
         if not isinstance(raw, dict):
             raise DocumentError(loc, "node must be an object")
         label = _clean_string(raw.get("label"), f"{loc}.label", "label")
+        if "/" in label:
+            raise DocumentError(f"{loc}.label", f"label {label!r} contains '/'")
         if label in labels:
             raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
         labels.add(label)

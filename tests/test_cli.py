@@ -152,6 +152,57 @@ def test_table_disjoint_vocabularies(capsys, tmp_path):
     assert "unmapped cols: X, Y" in out
 
 
+def test_table_threshold_zero_maps_a_zero_overlap_row(capsys, tmp_path):
+    # S2 shares no word with any column; at threshold 0 it still takes the
+    # first column S1 leaves free, with F=0, instead of staying unmapped
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(clustering_doc([("S1", ["a", "b"]), ("S2", ["z"])]), encoding="utf-8")
+    expert.write_text(
+        clustering_doc([("X", ["a", "b"]), ("Y", ["c"]), ("W", ["d"])]), encoding="utf-8"
+    )
+    code, out, _ = run(
+        capsys, "table", "--system", str(system), "--expert", str(expert), "--threshold", "0"
+    )
+    assert code == 0
+    assert out == (
+        f"f-table: {system} vs {expert} (2 rows x 3 cols, threshold=0)\n"
+        "         X       Y       W\n"
+        "S1  1.0000  0.0000  0.0000\n"
+        "S2  0.0000  0.0000  0.0000\n"
+        "mapping:\n"
+        "  S1 -> X  F=1.0000\n"
+        "  S2 -> Y  F=0.0000  (re-mapped)\n"
+        "unmapped cols: W\n"
+    )
+
+
+def test_slash_in_expert_label_is_an_input_error(capsys, tmp_path):
+    # "A/B" next to A -> B would print two different columns as "A/B"
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(clustering_doc([("S/1", ["a"]), ("S2", ["b"])]), encoding="utf-8")
+    expert.write_text(
+        hierarchy_doc([node("A/B", ["a"]), node("A", ["c"], children=[node("B", ["b"])])]),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "table", "--system", str(system), "--expert", str(expert))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $.classes[0].label: ")
+    assert "'/'" in err
+    # system labels and both baseline files may still contain "/"
+    gold = tmp_path / "gold.json"
+    gold.write_text(clustering_doc([("X", ["a"]), ("Y", ["b"])]), encoding="utf-8")
+    code, out, _ = run(capsys, "table", "--system", str(system), "--expert", str(gold))
+    assert code == 0
+    assert "S/1 -> X" in out
+    flat = tmp_path / "flat.json"
+    flat.write_text(clustering_doc([("X/1", ["a"]), ("Y", ["b"])]), encoding="utf-8")
+    code, _, _ = run(capsys, "baseline", "--system", str(system), "--expert", str(flat))
+    assert code == 0
+
+
 @pytest.fixture
 def conflict_files(tmp_path):
     # S1 and S2 both prefer X; S2 steps down to Y at a loss of

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,23 @@ import pytest
 from clustereval.mapping import (
     FTable,
     MappingResult,
+    RemapEvent,
     brute_force_mapping,
     build_f_table,
     initial_potentials,
     resolve_conflicts,
 )
-from clustereval.model import INHERIT, as_flat_hierarchy, flatten
+from clustereval.metrics import contingency, scores
+from clustereval.model import (
+    FLATTEN_MODES,
+    INHERIT,
+    Clustering,
+    ExpertHierarchy,
+    HierarchyNode,
+    LabeledClass,
+    as_flat_hierarchy,
+    flatten,
+)
 from clustereval.testkit import GenSpec, gen_clustering, gen_hierarchy
 
 from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, make_clustering
@@ -46,6 +58,76 @@ def test_build_f_table_disjoint_row_is_zero():
     expert = make_clustering(("B", ["a"]), ("C", ["b"]))
     table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
     assert table.cells[0] == (0.0, 0.0)
+
+
+def _dense_f_table(system, columns):
+    """The F-measure of every cell, one by one: the oracle for build_f_table."""
+    return tuple(
+        tuple(scores(contingency(cls.member_set, col.members)).f_measure for col in columns)
+        for cls in system.classes
+    )
+
+
+def _differential_instance(seed):
+    system = gen_clustering(
+        GenSpec(
+            seed=seed,
+            vocab_size=40,
+            n_classes=6 + seed % 10,
+            class_size=(1, 6),
+            overlap_rate=0.25 * (1 + seed % 3),
+        )
+    )
+    expert = gen_hierarchy(
+        GenSpec(
+            seed=seed + 9000,
+            vocab_size=30,  # system words w30.. are in no column
+            n_classes=1 + seed % 4,
+            class_size=(1, 4),
+            overlap_rate=0.3,
+            hierarchy_depth=2 + seed % 2,
+        )
+    )
+    # a row and a column that share no word with the other side
+    system = Clustering(system.name, system.classes + (LabeledClass("ROW", ("row-only",)),))
+    first = expert.roots[0]
+    roots = (
+        replace(first, own_members=()),  # an empty column under own-only
+        *expert.roots[1:],
+        HierarchyNode("COL", ("col-only",)),
+    )
+    return system, ExpertHierarchy(expert.name, roots)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_build_f_table_matches_dense_oracle(seed):
+    system, expert = _differential_instance(seed)
+    assert not system.is_partition()
+    assert len(system.classes) <= 60
+    for mode in FLATTEN_MODES:
+        columns = flatten(expert, mode)
+        assert len(columns) <= 60
+        table = build_f_table(system, columns)
+        assert table.row_labels == system.labels()
+        assert table.col_paths == tuple(col.path for col in columns)
+        assert table.cells == _dense_f_table(system, columns)
+        assert table.cells[-1] == (0.0,) * len(columns)  # ROW
+        assert all(row[-1] == 0.0 for row in table.cells)  # COL
+        assert bool(columns[0].members) == (mode == INHERIT)
+
+
+def test_threshold_zero_maps_a_zero_overlap_row_to_the_first_free_column():
+    # At threshold 0 every cell is eligible, F=0 included: S2 shares no word
+    # with any column, yet it takes the first column that S1 leaves free.
+    system = make_clustering(("S1", ["a", "b"]), ("S2", ["z"]))
+    expert = make_clustering(("X", ["a", "b"]), ("Y", ["c"]), ("W", ["d"]))
+    table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
+    m = resolve_conflicts(table, 0.0)
+    assert m.pairs == ((0, 0, 1.0), (1, 1, 0.0))
+    assert m.unmapped_rows == ()
+    assert m.unmapped_cols == (2,)
+    assert m.trace == (RemapEvent(1, 0, 1, 0.0),)
+    assert resolve_conflicts(table, 0.2).unmapped_rows == (1,)
 
 
 def test_initial_potentials_single_eligible_cell():

@@ -129,6 +129,14 @@ def test_hierarchy_duplicate_label_across_levels_rejected():
         parse_hierarchy(doc)
 
 
+def test_hierarchy_label_with_slash_rejected_with_location():
+    doc = hierarchy_doc([node("A", ["a"], children=[node(" B/C ", ["b"])])])
+    with pytest.raises(DocumentError, match="contains '/'") as info:
+        parse_hierarchy(doc)
+    assert info.value.location == "$.classes[0].children[0].label"
+    assert parse_clustering(clustering_doc([("B/C", ["b"])])).labels() == ("B/C",)
+
+
 def test_hierarchy_node_needs_members_or_children():
     with pytest.raises(DocumentError, match="neither members nor children"):
         parse_hierarchy(hierarchy_doc([node("EMPTY")]))
