@@ -119,15 +119,16 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     return FTable(system.labels(), tuple(col.path for col in columns), tuple(rows))
 
 
-def _best_column(row: tuple[float, ...], threshold: float, banned: set[int]) -> int | None:
-    best = None
-    best_f = -1.0
-    for col, f in enumerate(row):
-        if col in banned or f < threshold:
-            continue
-        if f > best_f:  # strict: equal cells keep the smaller column index
-            best, best_f = col, f
-    return best
+def _preferences(table: FTable, threshold: float) -> list[list[int | None]]:
+    """Per row, the columns at or above the threshold, best F first, then a
+    None sentinel that stands for dropping out. The reverse sort is stable,
+    so equal cells keep the smaller column index first."""
+    _check_threshold(threshold)
+    return [
+        sorted((c for c, f in enumerate(row) if f >= threshold), key=row.__getitem__, reverse=True)
+        + [None]
+        for row in table.cells
+    ]
 
 
 def initial_potentials(
@@ -135,8 +136,7 @@ def initial_potentials(
 ) -> tuple[int | None, ...]:
     """Per row, the best-F column at or above the threshold (ties go to
     the smaller column index); None when no column qualifies."""
-    _check_threshold(threshold)
-    return tuple(_best_column(row, threshold, set()) for row in table.cells)
+    return tuple(ranked[0] for ranked in _preferences(table, threshold))
 
 
 def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> MappingResult:
@@ -144,21 +144,21 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
 
     Start from every row's potential mapping. While some column has two
     or more claimants, work out what each claimant would lose by stepping
-    down to its next-best eligible column — columns it lost earlier stay
-    off limits, and a claimant with no alternative loses its whole
-    current F-measure and drops out. Execute the single cheapest re-map
-    (ties toward the smaller row, then column index) and look for
-    conflicts again. Every re-map permanently bans the abandoned column
-    for that row, which bounds the loop and guarantees termination.
+    down to the next column in its preference list; a claimant at the end
+    of its list loses its whole current F-measure and drops out. Execute
+    the single cheapest re-map (ties toward the smaller row, then column
+    index) and look for conflicts again. A row only ever steps down its
+    list, so a column it gave up stays off limits and the loop ends. Each
+    call sorts every row's eligible columns once; a re-map costs O(rows).
     """
-    _check_threshold(threshold)
-    current: list[int | None] = list(initial_potentials(table, threshold))
-    banned: list[set[int]] = [set() for _ in range(table.n_rows)]
+    prefs = _preferences(table, threshold)
+    rank = [0] * table.n_rows
     trace: list[RemapEvent] = []
 
     while True:
         claimants: dict[int, list[int]] = {}
-        for row, col in enumerate(current):
+        for row, r in enumerate(rank):
+            col = prefs[row][r]
             if col is not None:
                 claimants.setdefault(col, []).append(row)
         candidates: list[tuple[float, int, int, int | None]] = []
@@ -166,18 +166,17 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
             if len(rows) < 2:
                 continue
             for row in rows:
-                alt = _best_column(table.cells[row], threshold, banned[row] | {col})
+                alt = prefs[row][rank[row] + 1]
                 here = table.cells[row][col]
                 loss = here if alt is None else here - table.cells[row][alt]
                 candidates.append((loss, row, col, alt))
         if not candidates:
             break
         loss, row, col, alt = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-        banned[row].add(col)
-        current[row] = alt
+        rank[row] += 1
         trace.append(RemapEvent(row, col, alt, loss))
 
-    return _result(table, current, threshold, tuple(trace))
+    return _result(table, [ranked[r] for ranked, r in zip(prefs, rank)], threshold, tuple(trace))
 
 
 def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> MappingResult:

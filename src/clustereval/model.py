@@ -96,9 +96,6 @@ class Column:
     path: tuple[str, ...]
     members: frozenset[str]
 
-    def path_str(self) -> str:
-        return "/".join(self.path)
-
 
 @dataclass(frozen=True)
 class ColumnList:
@@ -139,6 +136,11 @@ def _clean_string(value: object, location: str, what: str) -> str:
     token = normalize_token(value)
     if not token:
         raise DocumentError(location, f"empty {what}")
+    if not token.isascii():
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DocumentError(location, f"{what} is not valid UTF-8 text") from exc
     return token
 
 
@@ -167,6 +169,8 @@ def _parse_document(text: str) -> tuple[str, list]:
         raise DocumentError(
             f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than int_max_str_digits
+        raise DocumentError("$", f"invalid JSON: {str(exc).partition(';')[0]}") from exc
     except RecursionError as exc:
         raise DocumentError("$", "document is nested too deeply") from exc
     if not isinstance(doc, dict):

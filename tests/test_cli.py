@@ -402,6 +402,50 @@ def test_deeply_nested_hierarchy_is_an_input_error(capsys, tmp_path, golden_file
     assert err.startswith("error: $")
 
 
+@pytest.mark.parametrize("side", ["system", "expert", "baseline"])
+def test_overlong_integer_literal_is_an_input_error(capsys, tmp_path, golden_files, side):
+    # json.loads refuses to convert more than 4,300 digits to an int; where
+    # there is no such limit, the document fails validation instead
+    system, expert = golden_files
+    bad = tmp_path / "long.json"
+    bad.write_text('{"name": ' + "7" * 5000 + ', "classes": []}', encoding="utf-8")
+    if side == "system":
+        argv = ["evaluate", "--system", str(bad), "--expert", expert]
+    elif side == "expert":
+        argv = ["evaluate", "--system", system, "--expert", str(bad)]
+    else:
+        argv = ["baseline", "--system", system, "--expert", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $")
+
+
+@pytest.mark.parametrize(
+    "command, side, location",
+    [
+        ("evaluate", "system", "$.classes[0].label"),
+        ("evaluate", "expert", "$.classes[0].members[1]"),
+        ("baseline", "system", "$.classes[0].label"),
+    ],
+)
+def test_lone_surrogate_is_an_input_error(capsys, tmp_path, golden_files, command, side, location):
+    # "\ud800" is valid JSON but no UTF-8 text: it would crash text output
+    system, expert = golden_files
+    bad = tmp_path / "surrogate.json"
+    if side == "system":
+        bad.write_text(clustering_doc([("A\ud800", ["cat"])]), encoding="utf-8")
+        argv = [command, "--system", str(bad), "--expert", expert]
+    else:
+        bad.write_text(clustering_doc([("B", ["cat", "dog\ud800"])]), encoding="utf-8")
+        argv = [command, "--system", system, "--expert", str(bad)]
+    for extra in ([], ["--format", "json"]) if command == "evaluate" else ([],):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {location}: ")
+
+
 def test_output_is_deterministic(capsys, golden_files):
     system, expert = golden_files
     argv = ["evaluate", "--system", system, "--expert", expert, "--trace"]

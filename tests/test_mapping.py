@@ -190,6 +190,81 @@ def test_resolve_cascading_conflicts():
     assert m.trace[2].loss == 0.4375
 
 
+def _banned_set_best_column(row, threshold, banned):
+    best = None
+    best_f = -1.0
+    for col, f in enumerate(row):
+        if col in banned or f < threshold:
+            continue
+        if f > best_f:  # strict: equal cells keep the smaller column index
+            best, best_f = col, f
+    return best
+
+
+def _banned_set_resolver(table, threshold):
+    """The earlier resolver, which rescans each claimant's whole row past a
+    per-row set of abandoned columns: the oracle for resolve_conflicts."""
+    current = [_banned_set_best_column(row, threshold, set()) for row in table.cells]
+    potentials = tuple(current)
+    banned = [set() for _ in range(table.n_rows)]
+    trace = []
+    while True:
+        claimants = {}
+        for row, col in enumerate(current):
+            if col is not None:
+                claimants.setdefault(col, []).append(row)
+        candidates = []
+        for col, rows in claimants.items():
+            if len(rows) < 2:
+                continue
+            for row in rows:
+                alt = _banned_set_best_column(table.cells[row], threshold, banned[row] | {col})
+                here = table.cells[row][col]
+                loss = here if alt is None else here - table.cells[row][alt]
+                candidates.append((loss, row, col, alt))
+        if not candidates:
+            break
+        loss, row, col, alt = min(candidates, key=lambda c: (c[0], c[1], c[2]))
+        banned[row].add(col)
+        current[row] = alt
+        trace.append(RemapEvent(row, col, alt, loss))
+    pairs = tuple((r, c, table.cells[r][c]) for r, c in enumerate(current) if c is not None)
+    result = MappingResult(
+        pairs=pairs,
+        unmapped_rows=tuple(r for r, c in enumerate(current) if c is None),
+        unmapped_cols=tuple(c for c in range(table.n_cols) if c not in {c for _, c, _ in pairs}),
+        threshold=threshold,
+        trace=tuple(trace),
+    )
+    return potentials, result
+
+
+# A small value set makes ties within a row common; 0.19999999999999998 is
+# the 2PR/(P+R) score of an exact 1/5 overlap, one ulp below 0.2.
+_TIE_VALUES = (0.0, 0.1, 0.19999999999999998, 0.2, 0.25, 0.5, 0.75, 1.0)
+
+
+def _tie_heavy_table(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)  # R != C in most cases
+    cells = [[rng.choice(_TIE_VALUES) for _ in range(n_cols)] for _ in range(n_rows)]
+    if seed % 3 == 0:  # every row prefers column 0
+        for row in cells:
+            row[0] = max(row)
+    for row in rng.sample(cells, k=n_rows // 4):  # no eligible cell at threshold 0.2 and up
+        row[:] = [rng.choice((0.0, 0.1)) for _ in row]
+    return table_of(cells)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_resolve_conflicts_matches_banned_set_oracle(seed):
+    table = _tie_heavy_table(seed) if seed % 5 else _instance(seed)
+    for threshold in (0.0, 0.2, 0.5, 1.0):
+        potentials, expected = _banned_set_resolver(table, threshold)
+        assert initial_potentials(table, threshold) == potentials
+        assert resolve_conflicts(table, threshold) == expected  # every RemapEvent.loss too
+
+
 def test_brute_force_on_conflict_fixture():
     table = table_of([[0.80, 0.50], [0.70, 0.65]])
     m = brute_force_mapping(table, 0.20)

@@ -196,7 +196,7 @@ def test_column_list_leaf_and_top_level_flags():
         ),
     )
     cols = flatten(h, INHERIT)
-    assert [c.path_str() for c in cols] == ["A", "A/B", "A/C", "D"]
+    assert ["/".join(c.path) for c in cols] == ["A", "A/B", "A/C", "D"]
     assert [cols.is_top_level(i) for i in range(4)] == [True, False, False, True]
     assert [cols.is_leaf(i) for i in range(4)] == [False, True, True, True]
 
