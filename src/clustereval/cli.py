@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, aggregate
 from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, build_f_table, resolve_conflicts
@@ -32,9 +32,19 @@ from .model import (
 
 SWEEP_HEADER = "expert,threshold,mapped_pairs,precision,recall,f_measure"
 
+_T = TypeVar("_T")
+
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _load(path: str, parse: Callable[[str], _T]) -> _T:
+    """Read and parse one input file; an input error is prefixed with its path."""
+    try:
+        return parse(_read(path))
+    except (DocumentError, UnicodeDecodeError) as exc:
+        raise DocumentError(path, str(exc)) from exc
 
 
 def _pct(x: float) -> str:
@@ -230,8 +240,8 @@ def _experts(args: argparse.Namespace) -> Iterator[tuple[Clustering, str, Column
     """Yield (system, expert path, columns, F-table) per expert, in argument
     order. Every input file is parsed before the first item is yielded, so a
     malformed later expert fails the command before any work is done."""
-    system = parse_clustering(_read(args.system))
-    experts = [(path, parse_hierarchy(_read(path))) for path in args.expert]
+    system = _load(args.system, parse_clustering)
+    experts = [(path, _load(path, parse_hierarchy)) for path in args.expert]
     for expert_path, hierarchy in experts:
         columns = flatten(hierarchy, args.flatten)
         yield system, expert_path, columns, build_f_table(system, columns)
@@ -293,8 +303,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    system = parse_clustering(_read(args.system))
-    expert = parse_clustering(_read(args.expert))
+    system = _load(args.system, parse_clustering)
+    expert = _load(args.expert, parse_clustering)
     table, s = pair_baseline(system, expert)
 
     lines = [f"pair baseline: {args.system} vs {args.expert}"]
@@ -319,7 +329,7 @@ def _threshold_arg(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"threshold must be in [0, 1], got {raw}")
-    return value
+    return abs(value)  # -0 echoes as 0
 
 
 def _threshold_list_arg(raw: str) -> list[float]:
@@ -391,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, OSError, UnicodeDecodeError) as exc:
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violations; anything unexpected

@@ -114,7 +114,7 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
         for col in touched:
             b = col_sets[col]
             yy = len(a & b)
-            row[col] = f_measure(yy / len(a), yy / len(b))
+            row[col] = f_measure(yy, len(a), len(b))
         rows.append(tuple(row))  # freeze each row so the table is never held twice
     return FTable(system.labels(), tuple(col.path for col in columns), tuple(rows))
 

@@ -41,11 +41,10 @@ def contingency(a: AbstractSet, b: AbstractSet) -> ContingencyTable:
     return ContingencyTable(yy, len(a) - yy, len(b) - yy)
 
 
-def f_measure(precision: float, recall: float) -> float:
-    """Balanced harmonic mean; 0 when both inputs are 0."""
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def f_measure(yy: int, marked: int, actual: int) -> float:
+    """Balanced F of precision yy/marked and recall yy/actual, as the one
+    correctly rounded division 2·yy / (marked + actual); 0 when yy is 0."""
+    return 2 * yy / (marked + actual) if yy else 0.0
 
 
 def scores(table: ContingencyTable) -> Scores:
@@ -54,7 +53,7 @@ def scores(table: ContingencyTable) -> Scores:
     actual = table.yy + table.ny
     p = table.yy / marked if marked else 0.0
     r = table.yy / actual if actual else 0.0
-    return Scores(p, r, f_measure(p, r))
+    return Scores(p, r, f_measure(table.yy, marked, actual))
 
 
 def co_classified_pairs(clustering: Clustering) -> frozenset[tuple[str, str]]:

@@ -283,17 +283,19 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
         raise ValueError(f"unknown flatten mode {mode!r}")
     columns: list[Column | None] = []
 
-    def visit(node: HierarchyNode, prefix: tuple[str, ...]) -> set[str]:
+    def visit(node: HierarchyNode, prefix: tuple[str, ...]) -> frozenset[str]:
         path = prefix + (node.label,)
         slot = len(columns)
         columns.append(None)  # reserve the pre-order position before recursing
-        subtree = set(node.own_members)
-        for child in node.children:
-            subtree |= visit(child, path)
-        effective = subtree if mode == INHERIT else set(node.own_members)
+        below = []
+        for child in node.children:  # a plain loop: one stack frame per level
+            below.append(visit(child, path))
+        own = frozenset(node.own_members)
+        subtree = own.union(*below)
+        effective = subtree if mode == INHERIT else own
         if mode == INHERIT and not effective:
             raise ValueError(f"node {node.label!r} has an empty effective member set")
-        columns[slot] = Column(path, frozenset(effective))
+        columns[slot] = Column(path, effective)
         return subtree
 
     for root in hierarchy.roots:

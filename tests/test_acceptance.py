@@ -91,7 +91,9 @@ def test_golden_contingency_reproduction():
     [(75.38, 29.09, "0.42"), (77.08, 25.23, "0.38"), (73.85, 37.88, "0.50")],
 )
 def test_reported_percent_triples_are_formula_consistent(p_pct, r_pct, expected):
-    assert f"{f_measure(p_pct / 100.0, r_pct / 100.0):.2f}" == expected
+    # counts whose precision and recall are exactly p_pct% and r_pct%
+    p, r = round(p_pct * 100), round(r_pct * 100)
+    assert f"{f_measure(p * r, 10_000 * r, 10_000 * p):.2f}" == expected
     _ok(f"({p_pct}, {r_pct}) -> {expected} at 2-decimal rounding")
 
 

@@ -177,6 +177,58 @@ def test_table_threshold_zero_maps_a_zero_overlap_row(capsys, tmp_path):
     )
 
 
+def test_table_maps_a_cell_that_reaches_the_threshold_exactly(capsys, tmp_path):
+    # one word against a nine-word column that holds it: F = 2/10 = 0.2
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(clustering_doc([("S", ["x"])]), encoding="utf-8")
+    expert.write_text(
+        clustering_doc([("C", ["x", *(f"c{i}" for i in range(8))])]), encoding="utf-8"
+    )
+    code, out, _ = run(
+        capsys, "table", "--system", str(system), "--expert", str(expert), "--threshold", "0.2"
+    )
+    assert code == 0
+    assert "  S -> C  F=0.2000\n" in out
+    assert "unmapped rows" not in out
+
+
+def test_negative_zero_threshold_echoes_as_zero(capsys, golden_files):
+    system, expert = golden_files
+    argv = ["--system", system, "--expert", expert]
+    _, text, _ = run(capsys, "evaluate", *argv, "--threshold", "-0")
+    assert "config: threshold=0 " in text
+    _, doc, _ = run(capsys, "table", *argv, "--threshold", "-0", "--format", "json")
+    assert '"threshold": 0.0,' in doc
+    _, sweep, _ = run(capsys, "sweep", *argv, "--thresholds", "0.2,-0")
+    assert [row.split(",")[1] for row in sweep.splitlines()[1:]] == ["0.2", "0.0"]
+
+
+def test_input_errors_name_the_file(capsys, tmp_path, golden_files):
+    system, expert = golden_files
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"classes": [{"label": "A", "members": ["a", "a"]}]}', encoding="utf-8")
+    argv = ["--system", system, "--expert", expert, "--expert", str(bad)]
+    code, out, err = run(capsys, "evaluate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: $.classes[0].members[1]: duplicate member 'a'\n"
+    code, _, err = run(capsys, "baseline", "--system", str(bad), "--expert", expert)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: $.classes[0].members[1]: ")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+def test_non_utf8_file_is_an_input_error_that_names_it(capsys, tmp_path, golden_files, command):
+    system, _ = golden_files
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"classes": [{"label": "B", "members": ["caf\u00e9"]}]}'.encode("latin-1"))
+    code, out, err = run(capsys, command, "--system", system, "--expert", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_slash_in_expert_label_is_an_input_error(capsys, tmp_path):
     # "A/B" next to A -> B would print two different columns as "A/B"
     system = tmp_path / "s.json"
@@ -189,7 +241,7 @@ def test_slash_in_expert_label_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "table", "--system", str(system), "--expert", str(expert))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: $.classes[0].label: ")
+    assert err.startswith(f"error: {expert}: $.classes[0].label: ")
     assert "'/'" in err
     # system labels and both baseline files may still contain "/"
     gold = tmp_path / "gold.json"
@@ -399,7 +451,7 @@ def test_deeply_nested_hierarchy_is_an_input_error(capsys, tmp_path, golden_file
     code, out, err = run(capsys, "evaluate", "--system", system, "--expert", str(expert))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: $")
+    assert err.startswith(f"error: {expert}: $")
 
 
 @pytest.mark.parametrize("side", ["system", "expert", "baseline"])
@@ -418,7 +470,7 @@ def test_overlong_integer_literal_is_an_input_error(capsys, tmp_path, golden_fil
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: $")
+    assert err.startswith(f"error: {bad}: $")
 
 
 @pytest.mark.parametrize(
@@ -443,7 +495,7 @@ def test_lone_surrogate_is_an_input_error(capsys, tmp_path, golden_files, comman
         code, out, err = run(capsys, *argv, *extra)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {location}: ")
+        assert err.startswith(f"error: {bad}: {location}: ")
 
 
 def test_output_is_deterministic(capsys, golden_files):

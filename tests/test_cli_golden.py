@@ -106,7 +106,7 @@ tree.json      61.54      57.14       0.59
         "ny": 6,
         "precision": 0.6153846153846154,
         "recall": 0.5714285714285714,
-        "f_measure": 0.5925925925925927
+        "f_measure": 0.5925925925925926
       },
       "pairs": [
         {
@@ -127,7 +127,7 @@ tree.json      61.54      57.14       0.59
           "ny": 0,
           "precision": 0.4,
           "recall": 1.0,
-          "f_measure": 0.5714285714285715
+          "f_measure": 0.5714285714285714
         }
       ],
       "unmapped_system": [],
@@ -162,7 +162,7 @@ tree.json      61.54      57.14       0.59
         "ny": 5,
         "precision": 0.46153846153846156,
         "recall": 0.5454545454545454,
-        "f_measure": 0.4999999999999999
+        "f_measure": 0.5
       },
       "pairs": [
         {
@@ -263,7 +263,7 @@ trace:
         ],
         [
           0.6153846153846154,
-          0.5714285714285715,
+          0.5714285714285714,
           0.0
         ]
       ],
@@ -277,7 +277,7 @@ trace:
           {
             "system_class": "D",
             "expert_column": "ANIMAL/PET",
-            "f_measure": 0.5714285714285715
+            "f_measure": 0.5714285714285714
           }
         ],
         "unmapped_rows": [],
@@ -346,12 +346,12 @@ trace:
         "sweep --expert exp.json --expert tree.json --thresholds 0.2,0.62,0.7",
         """\
 expert,threshold,mapped_pairs,precision,recall,f_measure
-exp.json,0.2,1,0.46153846153846156,0.5454545454545454,0.4999999999999999
-exp.json,0.62,1,0.46153846153846156,0.5454545454545454,0.4999999999999999
+exp.json,0.2,1,0.46153846153846156,0.5454545454545454,0.5
+exp.json,0.62,1,0.46153846153846156,0.5454545454545454,0.5
 exp.json,0.7,0,0.0,0.0,0.0
-tree.json,0.2,2,0.6153846153846154,0.5714285714285714,0.5925925925925927
-tree.json,0.62,1,0.46153846153846156,0.42857142857142855,0.4444444444444445
-tree.json,0.7,1,0.46153846153846156,0.42857142857142855,0.4444444444444445
+tree.json,0.2,2,0.6153846153846154,0.5714285714285714,0.5925925925925926
+tree.json,0.62,1,0.46153846153846156,0.42857142857142855,0.4444444444444444
+tree.json,0.7,1,0.46153846153846156,0.42857142857142855,0.4444444444444444
 """,
         id="sweep",
     ),

@@ -42,7 +42,7 @@ def test_build_f_table_golden_single_pair():
     columns = flatten(as_flat_hierarchy(make_clustering(("B", CLASS_B_MEMBERS))), INHERIT)
     table = build_f_table(system, columns)
     assert table.n_rows == table.n_cols == 1
-    assert table.cells[0][0] == pytest.approx(float(Fraction(12, 19)), abs=1e-15)
+    assert table.cells[0][0] == float(Fraction(12, 19))
 
 
 def test_build_f_table_identical_class_scores_one():
@@ -58,6 +58,26 @@ def test_build_f_table_disjoint_row_is_zero():
     expert = make_clustering(("B", ["a"]), ("C", ["b"]))
     table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
     assert table.cells[0] == (0.0, 0.0)
+
+
+def test_cell_that_reaches_the_threshold_exactly_is_mapped():
+    # one word against a nine-word column that holds it: F = 2/10, exactly 0.2
+    system = make_clustering(("S", ["x"]))
+    expert = make_clustering(("C", ["x", *(f"c{i}" for i in range(8))]))
+    table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
+    assert table.cells[0][0] == 0.2
+    assert resolve_conflicts(table, 0.2).as_dict() == {0: 0}
+
+
+def test_equal_fractions_tie_toward_the_smaller_column():
+    # 2·1/(2+4) and 2·2/(2+10) are both 1/3, so the smaller column wins
+    system = make_clustering(("S", ["x", "y"]))
+    expert = make_clustering(
+        ("C0", ["x", "p0", "p1", "p2"]), ("C1", ["x", "y", *(f"q{i}" for i in range(8))])
+    )
+    table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
+    assert initial_potentials(table) == (0,)
+    assert table.cells[0] == (1 / 3, 1 / 3)
 
 
 def _dense_f_table(system, columns):
@@ -240,7 +260,7 @@ def _banned_set_resolver(table, threshold):
 
 
 # A small value set makes ties within a row common; 0.19999999999999998 is
-# the 2PR/(P+R) score of an exact 1/5 overlap, one ulp below 0.2.
+# one ulp below 0.2, the default threshold.
 _TIE_VALUES = (0.0, 0.1, 0.19999999999999998, 0.2, 0.25, 0.5, 0.75, 1.0)
 
 

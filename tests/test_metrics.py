@@ -46,8 +46,8 @@ def test_scores_from_golden_counts():
     f = 2 * p * r / (p + r)
     s = scores(ContingencyTable(6, 2, 5))
     assert s.precision == float(p) == 0.75
-    assert s.recall == pytest.approx(float(r), abs=1e-15)
-    assert s.f_measure == pytest.approx(float(f), abs=1e-15)
+    assert s.recall == float(r)
+    assert s.f_measure == float(f)
     assert f == Fraction(12, 19)
 
 
@@ -62,7 +62,22 @@ def test_scores_zero_intersection_is_all_zero():
     [(75.38, 29.09, "0.42"), (77.08, 25.23, "0.38"), (73.85, 37.88, "0.50")],
 )
 def test_f_measure_consistent_with_reported_percent_pairs(p_pct, r_pct, expected):
-    assert f"{f_measure(p_pct / 100.0, r_pct / 100.0):.2f}" == expected
+    # counts whose precision and recall are exactly p_pct% and r_pct%
+    p, r = round(p_pct * 100), round(r_pct * 100)
+    assert f"{f_measure(p * r, 10_000 * r, 10_000 * p):.2f}" == expected
+
+
+def test_f_measure_is_the_exact_fraction_and_meets_thresholds_exactly():
+    # every cell is the correctly rounded 2yy/(a+b), so comparing it with a
+    # two-decimal threshold agrees with the exact integer comparison
+    thresholds = [(k, float(f"{k // 100}.{k % 100:02d}")) for k in range(101)]
+    for a in range(1, 41):
+        for b in range(1, 41):
+            for yy in range(1, min(a, b) + 1):
+                cell = f_measure(yy, a, b)
+                assert cell == float(Fraction(2 * yy, a + b)), (yy, a, b)
+                for k, t in thresholds:
+                    assert (cell >= t) == (200 * yy >= k * (a + b)), (yy, a, b, t)
 
 
 @given(word_sets, word_sets)
@@ -71,7 +86,7 @@ def test_contingency_swap_symmetry(a, b):
     assert (t.yy, t.yn, t.ny) == (u.yy, u.ny, u.yn)
     s, z = scores(t), scores(u)
     assert s.precision == z.recall and s.recall == z.precision
-    assert s.f_measure == pytest.approx(z.f_measure, abs=1e-15)
+    assert s.f_measure == z.f_measure
 
 
 @given(word_sets, word_sets)
