@@ -9,6 +9,8 @@ mapping is one-to-one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 
 from .metrics import f_measure
 from .model import Clustering, ColumnList
@@ -55,12 +57,6 @@ class MappingResult:
     unmapped_cols: tuple[int, ...]
     threshold: float
     trace: tuple[RemapEvent, ...]
-
-    def total_f(self) -> float:
-        return sum(f for _, _, f in self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return {row: col for row, col, _ in self.pairs}
 
 
 def _check_threshold(threshold: float) -> None:
@@ -186,9 +182,9 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
     Considers every injective partial mapping whose pairs clear the
     threshold and returns one with maximal total F; equal totals resolve
     toward assigning earlier rows to smaller column indices, assignment
-    preferred over leaving a row out. Implemented as exact dynamic
-    programming over used-column bitmasks, which covers the same search
-    space as literal enumeration.
+    preferred over leaving a row out. Implemented as a memoized search over
+    (row, used columns), which covers the same search space as literal
+    enumeration in at most rows x 2^columns states.
     """
     _check_threshold(threshold)
     n, m = table.n_rows, table.n_cols
@@ -198,36 +194,20 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
             f"{BRUTE_FORCE_LIMIT}x{BRUTE_FORCE_LIMIT}"
         )
 
-    # best[r][mask] = max total F over rows r.. with the columns in mask taken
-    size = 1 << m
-    best = [[0.0] * size for _ in range(n + 1)]
-    for r in range(n - 1, -1, -1):
-        row = table.cells[r]
-        for mask in range(size):
-            top = best[r + 1][mask]  # leave row r unmapped
-            for c in range(m):
-                bit = 1 << c
-                if mask & bit or row[c] < threshold:
-                    continue
-                value = row[c] + best[r + 1][mask | bit]
-                if value > top:
-                    top = value
-            best[r][mask] = top
-
-    current: list[int | None] = []
-    mask = 0
-    for r in range(n):
-        row = table.cells[r]
-        target = best[r][mask]
-        choice = None
-        for c in range(m):  # smallest qualifying column that still reaches the optimum
+    @cache
+    def best(r: int, used: int) -> tuple[float, tuple[int | None, ...]]:
+        """Max total F over rows r.. with the columns in ``used`` taken, and
+        the first choices that reach it: free columns ascending, then unmapped."""
+        if r == n:
+            return 0.0, ()
+        options = []
+        for c, f in enumerate(table.cells[r]):
             bit = 1 << c
-            if mask & bit or row[c] < threshold:
-                continue
-            if row[c] + best[r + 1][mask | bit] == target:
-                choice = c
-                mask |= bit
-                break
-        current.append(choice)
+            if not used & bit and f >= threshold:
+                total, rest = best(r + 1, used | bit)
+                options.append((f + total, (c, *rest)))
+        total, rest = best(r + 1, used)
+        options.append((total, (None, *rest)))
+        return max(options, key=itemgetter(0))  # the first maximal option
 
-    return _result(table, current, threshold)
+    return _result(table, list(best(0, 0)[1]), threshold)

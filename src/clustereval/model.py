@@ -82,12 +82,6 @@ class ExpertHierarchy:
     name: str
     roots: tuple[HierarchyNode, ...]
 
-    def node_count(self) -> int:
-        def count(node: HierarchyNode) -> int:
-            return 1 + sum(count(c) for c in node.children)
-
-        return sum(count(r) for r in self.roots)
-
 
 @dataclass(frozen=True)
 class Column:
@@ -123,17 +117,12 @@ class ColumnList:
         return len(self.columns[index + 1].path) <= len(self.columns[index].path)
 
 
-def normalize_token(raw: str) -> str:
-    """Strip surrounding whitespace and apply Unicode NFC; no case folding."""
-    return unicodedata.normalize("NFC", raw.strip())
-
-
 def _clean_string(value: object, location: str, what: str) -> str:
     if value is None:
         raise DocumentError(location, f"missing {what}")
     if not isinstance(value, str):
         raise DocumentError(location, f"{what} must be a string, got {type(value).__name__}")
-    token = normalize_token(value)
+    token = unicodedata.normalize("NFC", value.strip())  # no case folding
     if not token:
         raise DocumentError(location, f"empty {what}")
     if not token.isascii():
@@ -239,30 +228,6 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
     except RecursionError as exc:
         raise DocumentError("$", "hierarchy is nested too deeply") from exc
     return ExpertHierarchy(name, roots)
-
-
-def serialize_clustering(clustering: Clustering) -> str:
-    """Inverse of parse_clustering; preserves class and member order."""
-    doc = {
-        "name": clustering.name,
-        "classes": [
-            {"label": cls.label, "members": list(cls.members)} for cls in clustering.classes
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-
-
-def serialize_hierarchy(hierarchy: ExpertHierarchy) -> str:
-    """Inverse of parse_hierarchy; preserves node order."""
-
-    def node_doc(node: HierarchyNode) -> dict:
-        doc: dict = {"label": node.label, "members": list(node.own_members)}
-        if node.children:
-            doc["children"] = [node_doc(c) for c in node.children]
-        return doc
-
-    doc = {"name": hierarchy.name, "classes": [node_doc(r) for r in hierarchy.roots]}
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def as_flat_hierarchy(clustering: Clustering) -> ExpertHierarchy:

@@ -161,45 +161,3 @@ def gen_hierarchy(spec: GenSpec) -> ExpertHierarchy:
     roots = tuple(build(1) for _ in range(spec.n_classes))
     return ExpertHierarchy(f"gen-{spec.seed}", roots)
 
-
-def perturb(clustering: Clustering, seed: int, move_rate: float) -> Clustering:
-    """Relocate each (class, member) incidence to a uniformly chosen other
-    class with probability ``move_rate``.
-
-    Moves are decided against the original membership in document order.
-    A word arriving in a class that already holds it merges silently (set
-    semantics) and classes left empty are dropped. A single-class
-    clustering has no destination to move to and is returned unchanged;
-    move_rate 0 is the identity.
-    """
-    if not 0.0 <= move_rate <= 1.0:
-        raise ValueError("move_rate must be in [0, 1]")
-    n = len(clustering.classes)
-    if n < 2:
-        return clustering
-    rng = SplitMix64(seed)
-    kept: list[list[str]] = []
-    arrivals: list[list[str]] = [[] for _ in range(n)]
-    for i, cls in enumerate(clustering.classes):
-        stay: list[str] = []
-        for word in cls.members:
-            if rng.chance(move_rate):
-                target = rng.below(n - 1)
-                if target >= i:
-                    target += 1
-                arrivals[target].append(word)
-            else:
-                stay.append(word)
-        kept.append(stay)
-
-    classes: list[LabeledClass] = []
-    for i, cls in enumerate(clustering.classes):
-        final = list(kept[i])
-        present = set(final)
-        for word in arrivals[i]:
-            if word not in present:
-                final.append(word)
-                present.add(word)
-        if final:
-            classes.append(LabeledClass(cls.label, tuple(final)))
-    return Clustering(clustering.name, tuple(classes))

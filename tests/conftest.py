@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from clustereval.mapping import MappingResult
 from clustereval.model import Clustering, LabeledClass
 
 # Golden system/expert class pair; the frozen counts for it are
@@ -46,3 +47,13 @@ def hierarchy_doc(nodes, name="fixture") -> str:
 
 def make_clustering(*classes, name="fixture") -> Clustering:
     return Clustering(name, tuple(LabeledClass(l, tuple(m)) for l, m in classes))
+
+
+def as_dict(mapping: MappingResult) -> dict[int, int]:
+    """A mapping's pairs as row -> column."""
+    return {row: col for row, col, _ in mapping.pairs}
+
+
+def total_f(mapping: MappingResult) -> float:
+    """The summed F of a mapping's pairs, in row order."""
+    return sum(f for _, _, f in mapping.pairs)

@@ -26,7 +26,14 @@ from clustereval.metrics import f_measure, pair_baseline
 from clustereval.model import INHERIT, as_flat_hierarchy, flatten, parse_clustering
 from clustereval.testkit import GenSpec, gen_clustering, gen_hierarchy
 
-from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, clustering_doc, make_clustering
+from conftest import (
+    CLASS_A_MEMBERS,
+    CLASS_B_MEMBERS,
+    as_dict,
+    clustering_doc,
+    make_clustering,
+    total_f,
+)
 
 THRESHOLD = 0.20
 
@@ -133,15 +140,15 @@ def test_greedy_bounded_by_brute_force_200_instances():
         table = build_f_table(system, columns)
         greedy = resolve_conflicts(table, THRESHOLD)
         optimal = brute_force_mapping(table, THRESHOLD)
-        assert greedy.total_f() <= optimal.total_f() + 1e-9  # float-summation slack
-        gaps.append(optimal.total_f() - greedy.total_f())
+        assert total_f(greedy) <= total_f(optimal) + 1e-9  # float-summation slack
+        gaps.append(total_f(optimal) - total_f(greedy))
 
         potentials = initial_potentials(table, THRESHOLD)
         claimed = [c for c in potentials if c is not None]
         if len(claimed) == len(set(claimed)):
             conflict_free += 1
             assert (
-                tuple(greedy.as_dict().get(r) for r in range(table.n_rows)) == potentials
+                tuple(as_dict(greedy).get(r) for r in range(table.n_rows)) == potentials
             )
         checked += 1
     elapsed = time.perf_counter() - started

@@ -28,7 +28,7 @@ from clustereval.model import (
 )
 from clustereval.testkit import GenSpec, gen_clustering, gen_hierarchy
 
-from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, make_clustering
+from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, as_dict, make_clustering, total_f
 
 
 def table_of(cells) -> FTable:
@@ -66,7 +66,7 @@ def test_cell_that_reaches_the_threshold_exactly_is_mapped():
     expert = make_clustering(("C", ["x", *(f"c{i}" for i in range(8))]))
     table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
     assert table.cells[0][0] == 0.2
-    assert resolve_conflicts(table, 0.2).as_dict() == {0: 0}
+    assert as_dict(resolve_conflicts(table, 0.2)) == {0: 0}
 
 
 def test_equal_fractions_tie_toward_the_smaller_column():
@@ -172,7 +172,7 @@ def test_threshold_out_of_range_rejected():
 def test_resolve_two_row_conflict_minimal_loss_remaps():
     table = table_of([[0.80, 0.50], [0.70, 0.65]])
     m = resolve_conflicts(table, 0.20)
-    assert m.as_dict() == {0: 0, 1: 1}
+    assert as_dict(m) == {0: 0, 1: 1}
     assert m.unmapped_rows == () and m.unmapped_cols == ()
     assert len(m.trace) == 1
     event = m.trace[0]
@@ -183,7 +183,7 @@ def test_resolve_two_row_conflict_minimal_loss_remaps():
 def test_resolve_single_column_loser_drops_out():
     table = table_of([[0.9], [0.3]])
     m = resolve_conflicts(table, 0.20)
-    assert m.as_dict() == {0: 0}
+    assert as_dict(m) == {0: 0}
     assert m.unmapped_rows == (1,)
     assert m.trace == (type(m.trace[0])(1, 0, None, 0.3),)
 
@@ -192,7 +192,7 @@ def test_resolve_without_conflicts_equals_potentials():
     table = table_of([[0.9, 0.1], [0.1, 0.8]])
     m = resolve_conflicts(table, 0.20)
     potentials = initial_potentials(table, 0.20)
-    assert tuple(m.as_dict().get(r) for r in range(table.n_rows)) == potentials
+    assert tuple(as_dict(m).get(r) for r in range(table.n_rows)) == potentials
     assert m.trace == ()
 
 
@@ -201,7 +201,7 @@ def test_resolve_cascading_conflicts():
     # tied, so the row-index tie-break decides who steps down first
     table = table_of([[0.875, 0.0625], [0.75, 0.625], [0.5625, 0.4375]])
     m = resolve_conflicts(table, 0.20)
-    assert m.as_dict() == {0: 0, 1: 1}
+    assert as_dict(m) == {0: 0, 1: 1}
     assert m.unmapped_rows == (2,)
     steps = [(e.row, e.from_col, e.to_col) for e in m.trace]
     assert steps == [(1, 0, 1), (2, 0, 1), (2, 1, None)]
@@ -248,15 +248,19 @@ def _banned_set_resolver(table, threshold):
         banned[row].add(col)
         current[row] = alt
         trace.append(RemapEvent(row, col, alt, loss))
+    return potentials, _as_result(table, current, threshold, tuple(trace))
+
+
+def _as_result(table, current, threshold, trace=()):
+    """A row -> column list (None = unmapped) as a MappingResult, for the oracles."""
     pairs = tuple((r, c, table.cells[r][c]) for r, c in enumerate(current) if c is not None)
-    result = MappingResult(
+    return MappingResult(
         pairs=pairs,
         unmapped_rows=tuple(r for r, c in enumerate(current) if c is None),
         unmapped_cols=tuple(c for c in range(table.n_cols) if c not in {c for _, c, _ in pairs}),
         threshold=threshold,
-        trace=tuple(trace),
+        trace=trace,
     )
-    return potentials, result
 
 
 # A small value set makes ties within a row common; 0.19999999999999998 is
@@ -285,16 +289,35 @@ def test_resolve_conflicts_matches_banned_set_oracle(seed):
         assert resolve_conflicts(table, threshold) == expected  # every RemapEvent.loss too
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="re-map losses are float differences of two cells; exact losses need the "
+    "integer counts of ROADMAP item 2",
+)
+def test_equal_exact_losses_remap_the_smaller_row():
+    # F(R0, X) = 2/10 and F(R1, X) - F(R1, Y) = 6/20 - 2/20: both losses are
+    # exactly 1/5, so the tie rule re-maps R0. The float difference
+    # 0.3 - 0.1 is 0.19999999999999998, one ulp below 0.2, so R1 re-maps
+    # instead, and the text trace prints loss=0.2000 for it.
+    x = [f"x{i}" for i in range(1, 10)]
+    system = make_clustering(("R0", ["x1"]), ("R1", [*x[:3], "y1", *(f"o{i}" for i in range(7))]))
+    expert = make_clustering(("X", x), ("Y", [f"y{i}" for i in range(1, 10)]))
+    table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
+    assert table.cells == ((0.2, 0.0), (0.3, 0.1))
+    m = resolve_conflicts(table, 0.1)
+    assert [(e.row, e.from_col, e.to_col) for e in m.trace] == [(0, 0, None)]
+
+
 def test_brute_force_on_conflict_fixture():
     table = table_of([[0.80, 0.50], [0.70, 0.65]])
     m = brute_force_mapping(table, 0.20)
-    assert m.as_dict() == {0: 0, 1: 1}
-    assert m.total_f() == pytest.approx(1.45)
+    assert as_dict(m) == {0: 0, 1: 1}
+    assert total_f(m) == pytest.approx(1.45)
 
 
 def test_brute_force_single_cell():
     m = brute_force_mapping(table_of([[0.63]]), 0.20)
-    assert m.as_dict() == {0: 0}
+    assert as_dict(m) == {0: 0}
 
 
 def test_brute_force_all_below_threshold():
@@ -308,6 +331,66 @@ def test_brute_force_size_guard():
     cells = [[0.0] * 9 for _ in range(2)]
     with pytest.raises(ValueError, match="too large"):
         brute_force_mapping(table_of(cells), 0.2)
+
+
+def _bitmask_dp_oracle(table, threshold):
+    """The earlier exhaustive optimum: a best[row][used-column mask] table,
+    then a pass that takes, row by row, the smallest free column that still
+    reaches the optimum, or leaves the row out. The oracle for
+    brute_force_mapping."""
+    n, m = table.n_rows, table.n_cols
+    size = 1 << m
+    best = [[0.0] * size for _ in range(n + 1)]
+    for r in range(n - 1, -1, -1):
+        row = table.cells[r]
+        for mask in range(size):
+            top = best[r + 1][mask]  # leave row r unmapped
+            for c in range(m):
+                bit = 1 << c
+                if mask & bit or row[c] < threshold:
+                    continue
+                value = row[c] + best[r + 1][mask | bit]
+                if value > top:
+                    top = value
+            best[r][mask] = top
+    current = []
+    mask = 0
+    for r in range(n):
+        row = table.cells[r]
+        choice = None
+        for c in range(m):
+            bit = 1 << c
+            if mask & bit or row[c] < threshold:
+                continue
+            if row[c] + best[r + 1][mask | bit] == best[r][mask]:
+                choice = c
+                mask |= bit
+                break
+        current.append(choice)
+    return _as_result(table, current, threshold)
+
+
+def _search_table(seed):
+    """Up to 8 x 8: tie-heavy cells for even seeds, else random floats with
+    about 40 % zeros."""
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+
+    def draw():
+        if seed % 2 == 0:
+            return rng.choice(_TIE_VALUES)
+        return 0.0 if rng.random() < 0.4 else rng.random()
+
+    return table_of([[draw() for _ in range(n_cols)] for _ in range(n_rows)])
+
+
+@pytest.mark.parametrize("batch", range(20))
+def test_brute_force_matches_bitmask_dp_oracle(batch):
+    for seed in range(batch * 100, batch * 100 + 100):
+        table = _search_table(seed)
+        for threshold in (0.0, 0.1, 0.2, 0.5, 1.0):
+            expected = _bitmask_dp_oracle(table, threshold)
+            assert brute_force_mapping(table, threshold) == expected, (seed, threshold)
 
 
 def _naive_best_mapping(cells, threshold):
@@ -345,8 +428,8 @@ def test_brute_force_matches_naive_enumeration(seed):
     threshold = rng.choice([0.0, 0.2, 0.5])
     got = brute_force_mapping(table_of(cells), threshold)
     assign, total = _naive_best_mapping(cells, threshold)
-    assert [got.as_dict().get(r) for r in range(n)] == assign
-    assert got.total_f() == total
+    assert [as_dict(got).get(r) for r in range(n)] == assign
+    assert total_f(got) == total
 
 
 def _instance(seed):
@@ -405,7 +488,7 @@ def test_greedy_never_beats_brute_force(seed):
         pytest.skip("instance larger than the enumeration guard")
     greedy = resolve_conflicts(table, 0.2)
     optimal = brute_force_mapping(table, 0.2)
-    assert greedy.total_f() <= optimal.total_f() + 1e-9  # float-summation slack
+    assert total_f(greedy) <= total_f(optimal) + 1e-9  # float-summation slack
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -416,5 +499,5 @@ def test_conflict_free_instances_keep_their_argmax(seed):
     if len(claimed) != len(set(claimed)):
         pytest.skip("instance has an initial conflict")
     m = resolve_conflicts(table, 0.2)
-    assert tuple(m.as_dict().get(r) for r in range(table.n_rows)) == potentials
+    assert tuple(as_dict(m).get(r) for r in range(table.n_rows)) == potentials
     assert m.trace == ()

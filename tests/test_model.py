@@ -16,12 +16,22 @@ from clustereval.model import (
     flatten,
     parse_clustering,
     parse_hierarchy,
-    serialize_clustering,
-    serialize_hierarchy,
 )
 from clustereval.testkit import GenSpec, gen_hierarchy
 
 from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, clustering_doc, hierarchy_doc, node
+
+
+def node_count(hierarchy: ExpertHierarchy) -> int:
+    def count(n: HierarchyNode) -> int:
+        return 1 + sum(count(c) for c in n.children)
+
+    return sum(count(r) for r in hierarchy.roots)
+
+
+def node_doc(n: HierarchyNode) -> dict:
+    """The conftest ``node()`` dict of a parsed or generated node."""
+    return node(n.label, n.own_members, [node_doc(c) for c in n.children])
 
 
 def test_parse_clustering_preserves_order_and_allows_overlap():
@@ -112,7 +122,7 @@ def test_parse_hierarchy_flat_document():
     assert len(h.roots) == 1
     assert h.roots[0].children == ()
     assert len(h.roots[0].own_members) == 11
-    assert h.node_count() == 1
+    assert node_count(h) == 1
 
 
 def test_parse_hierarchy_nested():
@@ -120,7 +130,7 @@ def test_parse_hierarchy_nested():
     h = parse_hierarchy(doc)
     assert h.roots[0].label == "ANIMAL"
     assert h.roots[0].children[0].label == "PET"
-    assert h.node_count() == 2
+    assert node_count(h) == 2
 
 
 def test_hierarchy_duplicate_label_across_levels_rejected():
@@ -213,7 +223,7 @@ def test_flatten_preorder_column_count_and_containment(seed):
     )
     h = gen_hierarchy(spec)
     cols = flatten(h, INHERIT)
-    assert len(cols) == h.node_count()
+    assert len(cols) == node_count(h)
     by_path = {c.path: c for c in cols}
     for col in cols:
         if len(col.path) > 1:
@@ -232,7 +242,8 @@ clusterings = st.lists(
 
 @given(clusterings)
 def test_clustering_round_trip(clustering):
-    assert parse_clustering(serialize_clustering(clustering)) == clustering
+    doc = clustering_doc([(c.label, c.members) for c in clustering.classes], clustering.name)
+    assert parse_clustering(doc) == clustering
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -240,7 +251,7 @@ def test_hierarchy_round_trip(seed):
     h = gen_hierarchy(
         GenSpec(seed=seed, vocab_size=25, n_classes=2, class_size=(1, 3), hierarchy_depth=2)
     )
-    assert parse_hierarchy(serialize_hierarchy(h)) == h
+    assert parse_hierarchy(hierarchy_doc([node_doc(r) for r in h.roots], h.name)) == h
 
 
 def test_is_partition():
