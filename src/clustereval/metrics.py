@@ -3,14 +3,18 @@
 Closeness between two classes is scored from the presence or absence of
 individual words in each, never from word pairs; the pair-cooccurrence
 scheme is kept only as a baseline because it undercounts overlapping
-classes (a pair appearing in several classes is still one pair).
+classes (a pair appearing in several classes is still one pair). The
+baseline costs O(incidences) when both sides are partitions and O(pairs)
+only when either side overlaps.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .model import Clustering
 
@@ -72,6 +76,29 @@ def pair_baseline(
     Sound for partitions; for overlapping input the counts are lossy
     because each pair is counted once no matter how many classes repeat
     it. Callers should check ``Clustering.is_partition`` and warn.
+
+    Two partitions are counted in closed form in O(incidences), without
+    listing a pair; the pair sets, O(pairs), are built only when either
+    side overlaps.
     """
-    table = contingency(co_classified_pairs(system), co_classified_pairs(expert))
+    if system.is_partition() and expert.is_partition():
+        table = _partition_contingency(system, expert)
+    else:
+        table = contingency(co_classified_pairs(system), co_classified_pairs(expert))
     return table, scores(table)
+
+
+def _partition_contingency(system: Clustering, expert: Clustering) -> ContingencyTable:
+    """Pair counts of two partitions from the words n_ij that system class i
+    and expert class j share: yy = Σ C(n_ij, 2), and each side's pairs are
+    Σ C(|class|, 2) (the identity behind the Rand index; Rand 1971, Hubert &
+    Arabie 1985)."""
+    expert_class = {word: j for j, cls in enumerate(expert.classes) for word in cls.members}
+    yy = 0
+    for cls in system.classes:
+        shared = Counter(expert_class.get(word) for word in cls.members)
+        shared.pop(None, None)
+        yy += sum(comb(n, 2) for n in shared.values())
+    system_pairs = sum(comb(len(cls), 2) for cls in system.classes)
+    expert_pairs = sum(comb(len(cls), 2) for cls in expert.classes)
+    return ContingencyTable(yy, system_pairs - yy, expert_pairs - yy)

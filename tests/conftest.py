@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from clustereval.mapping import MappingResult
 from clustereval.model import Clustering, LabeledClass
@@ -57,3 +58,33 @@ def as_dict(mapping: MappingResult) -> dict[int, int]:
 def total_f(mapping: MappingResult) -> float:
     """The summed F of a mapping's pairs, in row order."""
     return sum(f for _, _, f in mapping.pairs)
+
+
+def random_partition(rng, words, max_classes) -> Clustering:
+    """A shuffled partition of ``words`` into 1 to ``max_classes`` classes."""
+    pool = list(words)
+    rng.shuffle(pool)
+    cut_count = rng.randint(0, min(max_classes - 1, len(pool) - 1))
+    cuts = sorted(rng.sample(range(1, len(pool)), cut_count))
+    classes, start = [], 0
+    for i, cut in enumerate(cuts + [len(pool)]):
+        classes.append((f"P{i}", pool[start:cut]))
+        start = cut
+    return make_clustering(*classes)
+
+
+def pair_oracle(system: Clustering, expert: Clustering) -> tuple[int, int, int]:
+    """Pair-baseline (yy, yn, ny) by brute force over every unordered word
+    pair in either clustering."""
+    words = sorted(
+        {w for c in system.classes for w in c.members}
+        | {w for c in expert.classes for w in c.members}
+    )
+    yy = yn = ny = 0
+    for a, b in combinations(words, 2):
+        in_sys = any(a in c.member_set and b in c.member_set for c in system.classes)
+        in_exp = any(a in c.member_set and b in c.member_set for c in expert.classes)
+        yy += in_sys and in_exp
+        yn += in_sys and not in_exp
+        ny += in_exp and not in_sys
+    return yy, yn, ny

@@ -11,7 +11,6 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
 
 import pytest
 
@@ -32,6 +31,8 @@ from conftest import (
     as_dict,
     clustering_doc,
     make_clustering,
+    pair_oracle,
+    random_partition,
     total_f,
 )
 
@@ -197,41 +198,14 @@ def test_aggregation_marginal_identities():
     _ok("marginal identities exact on 300 instances under all-columns")
 
 
-def _pair_counts_by_enumeration(system, expert):
-    words = sorted(
-        {w for c in system.classes for w in c.members}
-        | {w for c in expert.classes for w in c.members}
-    )
-    yy = yn = ny = 0
-    for a, b in combinations(words, 2):
-        in_sys = any(a in c.member_set and b in c.member_set for c in system.classes)
-        in_exp = any(a in c.member_set and b in c.member_set for c in expert.classes)
-        yy += in_sys and in_exp
-        yn += in_sys and not in_exp
-        ny += in_exp and not in_sys
-    return yy, yn, ny
-
-
-def _random_partition(rng, words):
-    pool = list(words)
-    rng.shuffle(pool)
-    cut_count = rng.randint(0, min(5, len(pool) - 1))
-    cuts = sorted(rng.sample(range(1, len(pool)), cut_count))
-    classes, start = [], 0
-    for i, cut in enumerate(cuts + [len(pool)]):
-        classes.append((f"P{i}", pool[start:cut]))
-        start = cut
-    return make_clustering(*classes)
-
-
 def test_pair_baseline_matches_enumeration_100_partitions():
     for seed in range(100):
         rng = random.Random(seed)
         words = [f"w{i}" for i in range(rng.randint(4, 30))]
-        system = _random_partition(rng, words)
-        expert = _random_partition(rng, words)
+        system = random_partition(rng, words, 6)
+        expert = random_partition(rng, words, 6)
         table, _ = pair_baseline(system, expert)
-        assert (table.yy, table.yn, table.ny) == _pair_counts_by_enumeration(system, expert)
+        assert (table.yy, table.yn, table.ny) == pair_oracle(system, expert)
     _ok("pair baseline equals exhaustive pair enumeration on 100 partitions")
 
 

@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clustereval.metrics import (
@@ -17,7 +16,13 @@ from clustereval.metrics import (
     scores,
 )
 
-from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, make_clustering
+from conftest import (
+    CLASS_A_MEMBERS,
+    CLASS_B_MEMBERS,
+    make_clustering,
+    pair_oracle,
+    random_partition,
+)
 
 word_sets = st.frozensets(st.sampled_from([f"w{i}" for i in range(12)]))
 
@@ -105,22 +110,6 @@ def test_f_extremes(a, b):
     assert (f == 1.0) == (t.yn == 0 and t.ny == 0 and t.yy > 0)
 
 
-def _pair_oracle(system, expert):
-    """Brute force over every unordered word pair in either clustering."""
-    words = sorted(
-        {w for c in system.classes for w in c.members}
-        | {w for c in expert.classes for w in c.members}
-    )
-    yy = yn = ny = 0
-    for a, b in combinations(words, 2):
-        in_sys = any(a in c.member_set and b in c.member_set for c in system.classes)
-        in_exp = any(a in c.member_set and b in c.member_set for c in expert.classes)
-        yy += in_sys and in_exp
-        yn += in_sys and not in_exp
-        ny += in_exp and not in_sys
-    return yy, yn, ny
-
-
 def test_pair_baseline_identical_partitions():
     c = make_clustering(("X", ["a", "b"]), ("Y", ["c"]))
     table, s = pair_baseline(c, c)
@@ -132,7 +121,7 @@ def test_pair_baseline_merged_class():
     system = make_clustering(("X", ["a", "b", "c"]))
     expert = make_clustering(("P", ["a", "b"]), ("Q", ["c"]))
     table, s = pair_baseline(system, expert)
-    assert (table.yy, table.yn, table.ny) == _pair_oracle(system, expert) == (1, 2, 0)
+    assert (table.yy, table.yn, table.ny) == pair_oracle(system, expert) == (1, 2, 0)
     assert s.precision == pytest.approx(1 / 3)
     assert s.recall == 1.0
     assert s.f_measure == pytest.approx(0.5)
@@ -153,33 +142,96 @@ def test_pair_baseline_deduplicates_overlapping_classes():
     assert (table.yy, table.yn, table.ny) == (1, 0, 0)
 
 
-def _random_partition(rng, words, max_classes):
-    pool = list(words)
-    rng.shuffle(pool)
-    n_classes = rng.randint(1, max_classes)
-    cuts = sorted(rng.sample(range(1, len(pool)), min(n_classes - 1, len(pool) - 1)))
-    classes, start = [], 0
-    for i, cut in enumerate(cuts + [len(pool)]):
-        classes.append((f"P{i}", pool[start:cut]))
-        start = cut
-    return make_clustering(*classes)
+VOCAB = [f"w{i}" for i in range(10)]
+
+
+@st.composite
+def partitions(draw):
+    """Each side draws its own words, so some appear on one side only;
+    small class counts give singletons and sides with no pair at all."""
+    owner = draw(st.dictionaries(st.sampled_from(VOCAB), st.integers(0, 4)))
+    classes: dict[int, list[str]] = {}
+    for word, k in owner.items():
+        classes.setdefault(k, []).append(word)
+    return make_clustering(*((f"P{k}", ws) for k, ws in sorted(classes.items())))
+
+
+overlapping = st.lists(
+    st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6, unique=True), max_size=5
+).map(lambda sets: make_clustering(*((f"C{i}", ws) for i, ws in enumerate(sets)))).filter(
+    lambda c: not c.is_partition()
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(partitions(), partitions()),
+        st.tuples(partitions(), overlapping),
+        st.tuples(overlapping, partitions()),
+        st.tuples(overlapping, overlapping),
+    )
+)
+@example((make_clustering(("X", ["a"]), ("Y", ["b"])), make_clustering(("P", ["a", "b"]))))
+@example((make_clustering(("X", ["a", "b"])), make_clustering(("P", ["c", "d"]))))
+def test_pair_baseline_matches_pair_sets_and_enumeration(sides):
+    system, expert = sides
+    table, _ = pair_baseline(system, expert)
+    assert table == contingency(co_classified_pairs(system), co_classified_pairs(expert))
+    assert (table.yy, table.yn, table.ny) == pair_oracle(system, expert)
+
+
+def test_partitions_are_counted_without_listing_pairs(monkeypatch):
+    # The pair sets would hold about 200 M tuples here; only the closed
+    # form can run this input, so never call it without the patch.
+    def refuse(clustering):
+        raise AssertionError(f"listed the pairs of partition {clustering.name}")
+
+    monkeypatch.setattr("clustereval.metrics.co_classified_pairs", refuse)
+    words = [f"w{i}" for i in range(20_000)]
+    system = make_clustering(("all", words))
+    expert = make_clustering(*((f"E{k}", words[100 * k : 100 * (k + 1)]) for k in range(200)))
+    table, _ = pair_baseline(system, expert)
+    system_pairs, yy = 199_990_000, 200 * 4_950
+    assert table == ContingencyTable(yy, system_pairs - yy, 0)
+
+
+@pytest.mark.parametrize("overlapping_side", ["system", "expert"])
+def test_overlapping_input_takes_the_deduplicating_pair_sets(monkeypatch, overlapping_side):
+    listed = []
+
+    def spy(clustering):
+        listed.append(clustering.name)
+        return co_classified_pairs(clustering)
+
+    monkeypatch.setattr("clustereval.metrics.co_classified_pairs", spy)
+    # {a, b} is in two classes: one pair, not two
+    sides = {
+        "system": make_clustering(("X", ["a", "b", "c"]), ("Y", ["b", "a"]), name="system"),
+        "expert": make_clustering(("P", ["a", "b"]), ("Q", ["c"]), name="expert"),
+    }
+    if overlapping_side == "expert":
+        sides = {"system": sides["expert"], "expert": sides["system"]}
+    table, _ = pair_baseline(sides["system"], sides["expert"])
+    assert listed == [sides["system"].name, sides["expert"].name]
+    expected = (1, 2, 0) if overlapping_side == "system" else (1, 0, 2)
+    assert (table.yy, table.yn, table.ny) == expected
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_pair_baseline_matches_enumeration_on_random_partitions(seed):
     rng = random.Random(seed)
     words = [f"w{i}" for i in range(rng.randint(4, 20))]
-    system = _random_partition(rng, words, 5)
-    expert = _random_partition(rng, words, 5)
+    system = random_partition(rng, words, 5)
+    expert = random_partition(rng, words, 5)
     table, _ = pair_baseline(system, expert)
-    assert (table.yy, table.yn, table.ny) == _pair_oracle(system, expert)
+    assert (table.yy, table.yn, table.ny) == pair_oracle(system, expert)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_pair_baseline_self_comparison_is_perfect(seed):
     rng = random.Random(100 + seed)
     words = [f"w{i}" for i in range(rng.randint(4, 15))]
-    c = _random_partition(rng, words, 4)
+    c = random_partition(rng, words, 4)
     if not any(len(k) >= 2 for k in c.classes):
         pytest.skip("no co-classified pair in this draw")
     _, s = pair_baseline(c, c)
