@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .metrics import f_measure
@@ -144,33 +145,47 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
     of its list loses its whole current F-measure and drops out. Execute
     the single cheapest re-map (ties toward the smaller row, then column
     index) and look for conflicts again. A row only ever steps down its
-    list, so a column it gave up stays off limits and the loop ends. Each
-    call sorts every row's eligible columns once; a re-map costs O(rows).
+    list, so a column it gave up stays off limits and the loop ends.
+
+    Each call sorts every row's eligible columns once. The claimant rows
+    of each column and a heap of candidate re-maps are then kept up to
+    date: a re-map changes only the column a row leaves and the column it
+    reaches, so it costs O(log n) heap work for n candidates pushed.
     """
     prefs = _preferences(table, threshold)
+    cells = table.cells
     rank = [0] * table.n_rows
-    trace: list[RemapEvent] = []
+    claimants: dict[int, set[int]] = {}
+    for row, ranked in enumerate(prefs):
+        if ranked[0] is not None:
+            claimants.setdefault(ranked[0], set()).add(row)
 
-    while True:
-        claimants: dict[int, list[int]] = {}
-        for row, r in enumerate(rank):
-            col = prefs[row][r]
-            if col is not None:
-                claimants.setdefault(col, []).append(row)
-        candidates: list[tuple[float, int, int, int | None]] = []
-        for col, rows in claimants.items():
-            if len(rows) < 2:
-                continue
-            for row in rows:
-                alt = prefs[row][rank[row] + 1]
-                here = table.cells[row][col]
-                loss = here if alt is None else here - table.cells[row][alt]
-                candidates.append((loss, row, col, alt))
-        if not candidates:
-            break
-        loss, row, col, alt = min(candidates, key=lambda c: (c[0], c[1], c[2]))
+    def candidate(row: int, col: int) -> tuple[float, int, int, int | None]:
+        alt = prefs[row][rank[row] + 1]
+        here = cells[row][col]
+        return (here if alt is None else here - cells[row][alt], row, col, alt)
+
+    # A (row, col) pair fixes its alternative, so heap order is (loss, row, col).
+    heap = [candidate(row, col) for col, rows in claimants.items() if len(rows) > 1 for row in rows]
+    heapify(heap)
+    trace: list[RemapEvent] = []
+    while heap:
+        loss, row, col, alt = heappop(heap)
+        rows = claimants[col]
+        if len(rows) < 2 or row not in rows:
+            continue  # the conflict cleared, or the row already stepped down
+        rows.remove(row)
         rank[row] += 1
         trace.append(RemapEvent(row, col, alt, loss))
+        if alt is None:
+            continue
+        rows = claimants.setdefault(alt, set())
+        rows.add(row)
+        if len(rows) > 1:
+            # A column that just reached two claimants opens a conflict for
+            # both; one already in conflict only gains the arriving row.
+            for claimant in rows if len(rows) == 2 else (row,):
+                heappush(heap, candidate(claimant, alt))
 
     return _result(table, [ranked[r] for ranked, r in zip(prefs, rank)], threshold, tuple(trace))
 

@@ -280,9 +280,51 @@ def _tie_heavy_table(seed):
     return table_of(cells)
 
 
-@pytest.mark.parametrize("seed", range(150))
+def _cascade_table(seed):
+    """Every row ranks the columns in one shared order, so each re-map sends
+    a row down onto the next contested column; sixteenths (odd seeds) make
+    re-map losses tie exactly."""
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(2, 30), rng.randint(1, 30)
+    draw = (lambda: rng.randint(0, 16) / 16) if seed % 2 else rng.random
+    order = rng.sample(range(n_cols), n_cols)
+    cells = []
+    for _ in range(n_rows):
+        row = [0.0] * n_cols
+        for col, f in zip(order, sorted((draw() for _ in order), reverse=True)):
+            row[col] = f
+        cells.append(row)
+    return table_of(cells)
+
+
+def _reforming_table(seed):
+    """More rows than columns, each with one to three eligible columns: a
+    column's claimants drop from two to one and later grow back to two as
+    other rows step down onto it."""
+    rng = random.Random(seed)
+    n_cols = rng.randint(2, 6)
+    cells = []
+    for _ in range(rng.randint(n_cols, 2 * n_cols)):
+        row = [0.0] * n_cols
+        k = rng.randint(1, min(3, n_cols))
+        values = sorted(rng.sample(range(4, 17), k), reverse=True)
+        for col, f in zip(rng.sample(range(n_cols), k), values):
+            row[col] = f / 16
+        cells.append(row)
+    return table_of(cells)
+
+
+def _oracle_table(seed):
+    if seed >= 180:
+        return _reforming_table(seed)
+    if seed >= 150:
+        return _cascade_table(seed)
+    return _tie_heavy_table(seed) if seed % 5 else _instance(seed)
+
+
+@pytest.mark.parametrize("seed", range(230))
 def test_resolve_conflicts_matches_banned_set_oracle(seed):
-    table = _tie_heavy_table(seed) if seed % 5 else _instance(seed)
+    table = _oracle_table(seed)
     for threshold in (0.0, 0.2, 0.5, 1.0):
         potentials, expected = _banned_set_resolver(table, threshold)
         assert initial_potentials(table, threshold) == potentials
