@@ -96,7 +96,7 @@ def _partition_contingency(system: Clustering, expert: Clustering) -> Contingenc
     expert_class = {word: j for j, cls in enumerate(expert.classes) for word in cls.members}
     yy = 0
     for cls in system.classes:
-        shared = Counter(expert_class.get(word) for word in cls.members)
+        shared = Counter(map(expert_class.get, cls.members))
         shared.pop(None, None)
         yy += sum(comb(n, 2) for n in shared.values())
     system_pairs = sum(comb(len(cls), 2) for cls in system.classes)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
+from typing import NoReturn
 
 INHERIT = "inherit"
 OWN_ONLY = "own-only"
@@ -54,14 +56,8 @@ class Clustering:
         return tuple(c.label for c in self.classes)
 
     def is_partition(self) -> bool:
-        """True when no word occurs in more than one class."""
-        seen: set[str] = set()
-        for cls in self.classes:
-            for word in cls.members:
-                if word in seen:
-                    return False
-                seen.add(word)
-        return True
+        """True when no word occurs in more than one class (or twice in one)."""
+        return len(set().union(*(c.members for c in self.classes))) == self.total_incidences()
 
     def total_incidences(self) -> int:
         """Total (class, word) memberships; overlapping words count once per class."""
@@ -134,21 +130,40 @@ def _clean_string(value: object, location: str, what: str) -> str:
 
 
 def _parse_members(raw: object, location: str, allow_empty: bool) -> tuple[str, ...]:
+    """Validate a member list with a few whole-list passes, no call per word.
+
+    Any failed pass hands the list to ``_raise_member_error``, which walks it
+    item by item to raise the first error at its JSON path.
+    """
     if raw is None:
         raw = []
     if not isinstance(raw, list):
         raise DocumentError(location, "members must be an array of strings")
-    members: list[str] = []
+    if not all(map(isinstance, raw, repeat(str))):
+        _raise_member_error(raw, location)
+    words = list(map(str.strip, raw))
+    if not "".join(words).isascii():  # ASCII text is already NFC and valid UTF-8
+        words = list(map(partial(unicodedata.normalize, "NFC"), words))
+        try:
+            "".join(words).encode("utf-8")  # fails on a lone surrogate
+        except UnicodeEncodeError:
+            _raise_member_error(raw, location)
+    if not all(words) or len(set(words)) != len(words):
+        _raise_member_error(raw, location)
+    if not words and not allow_empty:
+        raise DocumentError(location, "class has no members")
+    return tuple(words)
+
+
+def _raise_member_error(raw: list, location: str) -> NoReturn:
+    """Raise the first item's error in a member list that failed a bulk check."""
     seen: set[str] = set()
     for i, item in enumerate(raw):
         word = _clean_string(item, f"{location}[{i}]", "member")
         if word in seen:
             raise DocumentError(f"{location}[{i}]", f"duplicate member {word!r}")
         seen.add(word)
-        members.append(word)
-    if not members and not allow_empty:
-        raise DocumentError(location, "class has no members")
-    return tuple(members)
+    raise AssertionError(f"{location}: a bulk member check failed on a valid list")
 
 
 def _parse_document(text: str) -> tuple[str, list]:
@@ -255,13 +270,13 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
         below = []
         for child in node.children:  # a plain loop: one stack frame per level
             below.append(visit(child, path))
-        own = frozenset(node.own_members)
-        subtree = own.union(*below)
-        effective = subtree if mode == INHERIT else own
-        if mode == INHERIT and not effective:
-            raise ValueError(f"node {node.label!r} has an empty effective member set")
+        effective = frozenset(node.own_members)
+        if mode == INHERIT:  # only inherit mode needs the subtree union
+            effective = effective.union(*below)
+            if not effective:
+                raise ValueError(f"node {node.label!r} has an empty effective member set")
         columns[slot] = Column(path, effective)
-        return subtree
+        return effective
 
     for root in hierarchy.roots:
         visit(root, ())

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from clustereval import metrics
 from clustereval.metrics import (
     ContingencyTable,
     co_classified_pairs,
@@ -178,6 +180,30 @@ def test_pair_baseline_matches_pair_sets_and_enumeration(sides):
     table, _ = pair_baseline(system, expert)
     assert table == contingency(co_classified_pairs(system), co_classified_pairs(expert))
     assert (table.yy, table.yn, table.ny) == pair_oracle(system, expert)
+
+
+# Built directly, so a class may repeat a word: not a partition, though
+# no word is in two classes.
+repeating = st.lists(st.lists(st.sampled_from(VOCAB[:5]), max_size=4), max_size=3).map(
+    lambda lists: make_clustering(*((f"R{i}", ws) for i, ws in enumerate(lists)))
+)
+
+
+@given(st.one_of(partitions(), overlapping, repeating), st.one_of(partitions(), repeating))
+@example(make_clustering(), make_clustering())
+@example(make_clustering(("A", ["a", "a"])), make_clustering(("P", ["a"])))
+def test_pair_baseline_takes_the_closed_form_exactly_for_two_partitions(system, expert):
+    def words_seen_twice(clustering):
+        words = [w for c in clustering.classes for w in c.members]
+        return len(set(words)) != len(words)
+
+    both = not words_seen_twice(system) and not words_seen_twice(expert)
+    with mock.patch.object(
+        metrics, "_partition_contingency", side_effect=metrics._partition_contingency
+    ) as closed_form:
+        table, _ = pair_baseline(system, expert)
+    assert closed_form.called == both
+    assert table == contingency(co_classified_pairs(system), co_classified_pairs(expert))
 
 
 def test_partitions_are_counted_without_listing_pairs(monkeypatch):

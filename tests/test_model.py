@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import unicodedata
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from clustereval import model
 from clustereval.model import (
     INHERIT,
     OWN_ONLY,
@@ -257,6 +261,159 @@ def test_hierarchy_round_trip(seed):
 def test_is_partition():
     assert parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["c"])])).is_partition()
     assert not parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["b"])])).is_partition()
+
+
+def _seen_set_is_partition(clustering: Clustering) -> bool:
+    """The earlier word-by-word walk: the oracle for Clustering.is_partition."""
+    seen: set[str] = set()
+    for cls in clustering.classes:
+        for word in cls.members:
+            if word in seen:
+                return False
+            seen.add(word)
+    return True
+
+
+# LabeledClass does not check its members, so a class may repeat a word
+# here, which the parser never accepts.
+raw_clusterings = st.lists(
+    st.lists(st.sampled_from("abcdefg"), max_size=5), max_size=4
+).map(lambda cs: Clustering("raw", tuple(LabeledClass(f"C{i}", tuple(m)) for i, m in enumerate(cs))))
+
+
+@given(raw_clusterings)
+@example(Clustering("empty", ()))
+@example(Clustering("repeat", (LabeledClass("A", ("a", "a")),)))
+@example(Clustering("empty class", (LabeledClass("A", ()), LabeledClass("B", ("b",)))))
+def test_is_partition_matches_seen_set_oracle(clustering):
+    assert clustering.is_partition() == _seen_set_is_partition(clustering)
+
+
+def _per_item_clean(value: object, location: str) -> str:
+    if value is None:
+        raise DocumentError(location, "missing member")
+    if not isinstance(value, str):
+        raise DocumentError(location, f"member must be a string, got {type(value).__name__}")
+    token = unicodedata.normalize("NFC", value.strip())
+    if not token:
+        raise DocumentError(location, "empty member")
+    if not token.isascii():
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DocumentError(location, "member is not valid UTF-8 text") from exc
+    return token
+
+
+def _per_item_members(raw: list, location: str, allow_empty: bool) -> tuple[str, ...]:
+    """The earlier parser, which cleans and checks one word at a time: the
+    oracle for the bulk-validating _parse_members."""
+    members: list[str] = []
+    seen: set[str] = set()
+    for i, item in enumerate(raw):
+        word = _per_item_clean(item, f"{location}[{i}]")
+        if word in seen:
+            raise DocumentError(f"{location}[{i}]", f"duplicate member {word!r}")
+        seen.add(word)
+        members.append(word)
+    if not members and not allow_empty:
+        raise DocumentError(location, "class has no members")
+    return tuple(members)
+
+
+def _expected(build):
+    """``build()``'s value, or the (location, reason) of its DocumentError."""
+    try:
+        return build()
+    except DocumentError as exc:
+        return exc.location, exc.reason
+
+
+def _parsed(parse, text):
+    """``parse(text)``'s value or error, and how often a member list was
+    walked item by item."""
+    with mock.patch.object(
+        model, "_raise_member_error", side_effect=model._raise_member_error
+    ) as walk:
+        return _expected(lambda: parse(text)), walk.call_count
+
+
+# Spellings that differ only by padding or normalization: "\u00e9" and
+# "e\u0301" are one word after NFC, and so are "\u00c5", "A\u030a" and the
+# angstrom sign "\u212b".
+PADDING = ["", " ", "\t", "\n", "\u00a0", "\u3000"]
+SPELLINGS = ["\u00e9", "e\u0301", "caf\u00e9", "cafe\u0301", "\u00c5", "A\u030a", "\u212b"]
+member_values = st.one_of(
+    st.text("abc", min_size=1, max_size=3),
+    st.builds(
+        lambda left, word, right: left + word + right,
+        st.sampled_from(PADDING),
+        st.sampled_from(["a", "ab"] + SPELLINGS),
+        st.sampled_from(PADDING),
+    ),
+    st.sampled_from(SPELLINGS),
+    st.sampled_from(["\ud800", "x\udfff", "\udc00\u00e9"]),  # lone surrogates
+    st.sampled_from(["", " ", "\u00a0\u3000"]),  # empty once stripped
+    st.sampled_from([None, 0, -7, 1.5, True, False, [], ["a"], {}, {"a": 1}]),
+)
+member_lists = st.lists(member_values, max_size=8)
+
+
+@given(st.lists(member_lists, min_size=1, max_size=3))
+@example([["a", " a"]])
+@example([["\u00e9", "e\u0301"]])
+@example([["cat", "\u3000cat\u00a0"]])
+@example([["a", None, "\ud800", "a", ""]])  # the first bad index wins
+@example([["\u212b", "\ud800", "A\u030a"]])
+@example([["ok"], []])
+def test_parse_clustering_matches_per_item_oracle(lists):
+    text = clustering_doc([(f"C{i}", m) for i, m in enumerate(lists)], name="n")
+
+    def build() -> Clustering:
+        return Clustering("n", tuple(
+            LabeledClass(f"C{i}", _per_item_members(m, f"$.classes[{i}].members", False))
+            for i, m in enumerate(lists)
+        ))
+
+    expected = _expected(build)
+    got, walks = _parsed(parse_clustering, text)
+    assert got == expected
+    # a list is walked item by item only after a bulk check fails, and
+    # that walk raises: exactly when the oracle reports a member's error
+    assert walks == (isinstance(expected, tuple) and ".members[" in expected[0])
+
+
+@given(member_lists, st.lists(member_lists, max_size=2))
+@example([], [])
+@example([], [[]])
+@example([" b "], [["b", "\u00a0b"]])
+@example(["x"], [["\u00e9", "e\u0301"], ["A\u030a", "\u212b"]])
+def test_parse_hierarchy_matches_per_item_oracle(root, children):
+    kid_docs = [node(f"K{j}", m) for j, m in enumerate(children)]
+    text = hierarchy_doc([node("R", root, kid_docs)], name="n")
+
+    def build() -> ExpertHierarchy:
+        own = _per_item_members(root, "$.classes[0].members", True)
+        kids = []
+        for j, m in enumerate(children):
+            loc = f"$.classes[0].children[{j}]"
+            kid = _per_item_members(m, f"{loc}.members", True)
+            if not kid:
+                raise DocumentError(loc, f"node 'K{j}' has neither members nor children")
+            kids.append(HierarchyNode(f"K{j}", kid))
+        if not own and not kids:
+            raise DocumentError("$.classes[0]", "node 'R' has neither members nor children")
+        return ExpertHierarchy("n", (HierarchyNode("R", own, tuple(kids)),))
+
+    expected = _expected(build)
+    got, walks = _parsed(parse_hierarchy, text)
+    assert got == expected
+    assert walks == (isinstance(expected, tuple) and ".members[" in expected[0])
+
+
+def test_member_walk_never_returns_on_a_valid_list():
+    with pytest.raises(AssertionError, match="bulk member check"):
+        model._raise_member_error(["cat", " dog", "e\u0301"], "$.classes[0].members")
 
 
 def test_total_incidences_counts_overlaps_per_class():
