@@ -8,9 +8,11 @@ mapping is one-to-one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .metrics import f_measure
@@ -86,32 +88,27 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     """Score every (system class, expert column) pair by F-measure.
 
     Only pairs that share a word are scored. Each expert column's words are
-    indexed after intersecting them with the system vocabulary, and a
-    system class's touched columns are the union of its words' postings.
-    The build therefore costs one zero-filled row per system class plus
-    one set intersection per overlapping pair, not one per cell. Every
+    indexed after intersecting them with the system vocabulary, and a system
+    class's overlap with a column is the number of its words whose postings
+    hold that column. The build therefore costs one zero-filled row per
+    system class plus one count per shared (word, column) incidence. Every
     cell equals ``scores(contingency(a, b)).f_measure`` for the class and
     column word sets; pairs that share no word score 0.0.
     """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
-    col_sets = [col.members for col in columns]
+    sizes = [len(col.members) for col in columns]
     vocab = frozenset().union(*(cls.member_set for cls in system.classes))
     postings: dict[str, list[int]] = {}
-    for col, members in enumerate(col_sets):
-        for word in vocab & members:
+    for col, column in enumerate(columns):
+        for word in vocab & column.members:
             postings.setdefault(word, []).append(col)
     rows = []
     for cls in system.classes:
-        a = cls.member_set
-        touched: set[int] = set()
-        for word in a:
-            touched.update(postings.get(word, ()))
-        row = [0.0] * len(col_sets)
-        for col in touched:
-            b = col_sets[col]
-            yy = len(a & b)
-            row[col] = f_measure(yy, len(a), len(b))
+        row = [0.0] * len(sizes)
+        overlaps = Counter(chain.from_iterable(map(postings.get, cls.members, repeat(()))))
+        for col, yy in overlaps.items():
+            row[col] = f_measure(yy, len(cls), sizes[col])
         rows.append(tuple(row))  # freeze each row so the table is never held twice
     return FTable(system.labels(), tuple(col.path for col in columns), tuple(rows))
 

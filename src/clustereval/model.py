@@ -245,12 +245,6 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
     return ExpertHierarchy(name, roots)
 
 
-def as_flat_hierarchy(clustering: Clustering) -> ExpertHierarchy:
-    """View a flat clustering as a degenerate one-level hierarchy."""
-    roots = tuple(HierarchyNode(cls.label, cls.members) for cls in clustering.classes)
-    return ExpertHierarchy(clustering.name, roots)
-
-
 def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
     """Flatten a hierarchy into its pre-order column list.
 

@@ -6,7 +6,7 @@ import json
 from itertools import combinations
 
 from clustereval.mapping import MappingResult
-from clustereval.model import Clustering, LabeledClass
+from clustereval.model import Clustering, ExpertHierarchy, HierarchyNode, LabeledClass
 
 # Golden system/expert class pair; the frozen counts for it are
 # yy=6 (cat dog pig cow cattle goat), yn=2 (stomach hair),
@@ -48,6 +48,12 @@ def hierarchy_doc(nodes, name="fixture") -> str:
 
 def make_clustering(*classes, name="fixture") -> Clustering:
     return Clustering(name, tuple(LabeledClass(l, tuple(m)) for l, m in classes))
+
+
+def as_flat_hierarchy(clustering: Clustering) -> ExpertHierarchy:
+    """View a flat clustering as a degenerate one-level hierarchy."""
+    roots = tuple(HierarchyNode(cls.label, cls.members) for cls in clustering.classes)
+    return ExpertHierarchy(clustering.name, roots)
 
 
 def as_dict(mapping: MappingResult) -> dict[int, int]:

@@ -22,19 +22,20 @@ from clustereval.mapping import (
     resolve_conflicts,
 )
 from clustereval.metrics import f_measure, pair_baseline
-from clustereval.model import INHERIT, as_flat_hierarchy, flatten, parse_clustering
-from clustereval.testkit import GenSpec, gen_clustering, gen_hierarchy
+from clustereval.model import INHERIT, flatten, parse_clustering
 
 from conftest import (
     CLASS_A_MEMBERS,
     CLASS_B_MEMBERS,
     as_dict,
+    as_flat_hierarchy,
     clustering_doc,
     make_clustering,
     pair_oracle,
     random_partition,
     total_f,
 )
+from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 THRESHOLD = 0.20
 

@@ -10,16 +10,10 @@ from clustereval.aggregate import (
     evaluate,
 )
 from clustereval.mapping import MappingResult, build_f_table, resolve_conflicts
-from clustereval.model import (
-    INHERIT,
-    ExpertHierarchy,
-    HierarchyNode,
-    as_flat_hierarchy,
-    flatten,
-)
-from clustereval.testkit import GenSpec, gen_clustering, gen_hierarchy
+from clustereval.model import INHERIT, ExpertHierarchy, HierarchyNode, flatten
 
-from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, make_clustering
+from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, as_flat_hierarchy, make_clustering
+from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 
 def test_single_mapped_pair_golden_counts():

@@ -23,12 +23,18 @@ from clustereval.model import (
     ExpertHierarchy,
     HierarchyNode,
     LabeledClass,
-    as_flat_hierarchy,
     flatten,
 )
-from clustereval.testkit import GenSpec, gen_clustering, gen_hierarchy
 
-from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, as_dict, make_clustering, total_f
+from conftest import (
+    CLASS_A_MEMBERS,
+    CLASS_B_MEMBERS,
+    as_dict,
+    as_flat_hierarchy,
+    make_clustering,
+    total_f,
+)
+from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 
 def table_of(cells) -> FTable:

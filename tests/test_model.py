@@ -16,14 +16,20 @@ from clustereval.model import (
     ExpertHierarchy,
     HierarchyNode,
     LabeledClass,
-    as_flat_hierarchy,
     flatten,
     parse_clustering,
     parse_hierarchy,
 )
-from clustereval.testkit import GenSpec, gen_hierarchy
 
-from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, clustering_doc, hierarchy_doc, node
+from conftest import (
+    CLASS_A_MEMBERS,
+    CLASS_B_MEMBERS,
+    as_flat_hierarchy,
+    clustering_doc,
+    hierarchy_doc,
+    node,
+)
+from testkit import GenSpec, gen_hierarchy
 
 
 def node_count(hierarchy: ExpertHierarchy) -> int:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,20 +98,9 @@ SUBMODULE_PUBLIC = {
         "LabeledClass",
         "LabeledClass.member_set",
         "OWN_ONLY",
-        "as_flat_hierarchy",
         "flatten",
         "parse_clustering",
         "parse_hierarchy",
-    ],
-    "testkit": [
-        "GenSpec",
-        "SplitMix64",
-        "SplitMix64.below",
-        "SplitMix64.chance",
-        "SplitMix64.next_float",
-        "SplitMix64.next_u64",
-        "gen_clustering",
-        "gen_hierarchy",
     ],
 }
 
@@ -141,16 +129,6 @@ def test_submodule_public_names_are_pinned(module):
     assert _public_names(module) == SUBMODULE_PUBLIC[module]
 
 
-def test_testkit_is_imported_only_on_request():
-    code = (
-        "import sys, clustereval\n"
-        "assert 'clustereval.testkit' not in sys.modules\n"
-        "import clustereval.testkit\n"
-    )
-    src = str(Path(clustereval.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
-
-
 def test_runtime_imports_only_the_standard_library():
     # -I ignores PYTHONPATH and user site-packages; site hooks may still
     # preload third-party modules, so only modules new after the snapshot count
@@ -158,7 +136,7 @@ def test_runtime_imports_only_the_standard_library():
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "before = set(sys.modules)\n"
-        "import clustereval, clustereval.cli, clustereval.testkit\n"
+        "import clustereval, clustereval.cli\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'clustereval'}))\n"
     )

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from clustereval.aggregate import evaluate
-from clustereval.model import as_flat_hierarchy
-from clustereval.testkit import GenSpec, SplitMix64, gen_clustering, gen_hierarchy
+
+from conftest import as_flat_hierarchy
+from testkit import GenSpec, SplitMix64, gen_clustering, gen_hierarchy
 
 
 def test_splitmix64_is_stable():
@@ -131,3 +134,27 @@ def test_unperturbed_gold_evaluates_to_perfect_score():
     gold = gen_clustering(GenSpec(seed=21, vocab_size=18, n_classes=4, class_size=(1, 4)))
     report = evaluate(gold, as_flat_hierarchy(gold))
     assert report.overall_scores.f_measure == 1.0
+
+
+# SHA-256 of repr(generate(GenSpec(*key))). Overlap 1.0 exercises the fresh-pool
+# fallback, and the vocab-8 clustering redraws duplicate member sets.
+PINNED_CLUSTERINGS = {
+    (1, 30, 5, (2, 5), 0.0): "1734199a72aa8afab8a139b2d044b6792dbe271170dadf1db24766f4825be1ab",
+    (2, 30, 6, (2, 5), 0.3): "b217a8c43eda9ef880a5f6d729a787f2d0ec28e09d5558e20aacb37f70d4e56c",
+    (3, 10, 3, (2, 4), 1.0): "0605012f244f71bea642afd4ce5dd87894f03748e0609ad31a0cfb28e30d62f1",
+    (1, 8, 6, (1, 2), 0.6): "00c23391a8f03cd43af832ee09955624057d250b3efb8581c6a59d1cb1d44b63",
+}
+PINNED_HIERARCHIES = {
+    (4, 20, 3, (1, 3), 0.0, 1): "116025e44dce492ac48fb7d5ff951f2511e70a16f0212f8478242686fb6486a6",
+    (5, 40, 2, (1, 3), 0.3, 2): "813ab556086add5b8f64ce15da24460a8261b2eca9e5d962aaf8309fc1ce7044",
+    (6, 60, 2, (1, 3), 1.0, 3): "24c68c5e84db56e8527152ab2549c35640a5174b7f4f9f0ae767f1dc5c913739",
+    (7, 60, 3, (2, 4), 0.3, 3): "7df3817587771441845c31904d926106c6975b62f860841d653085d7ce86d19b",
+}
+
+
+@pytest.mark.parametrize(
+    "generate, pinned", [(gen_clustering, PINNED_CLUSTERINGS), (gen_hierarchy, PINNED_HIERARCHIES)]
+)
+def test_generated_fixtures_are_pinned(generate, pinned):
+    for key, digest in pinned.items():
+        assert hashlib.sha256(repr(generate(GenSpec(*key))).encode()).hexdigest() == digest, key

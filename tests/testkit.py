@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Clustering, ExpertHierarchy, HierarchyNode, LabeledClass
+from clustereval.model import Clustering, ExpertHierarchy, HierarchyNode, LabeledClass
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 64
@@ -21,7 +21,8 @@ class SplitMix64:
     64-bit state advanced by the golden-gamma constant; the output is the
     state mixed by two xor-shift-multiply rounds. Bounded draws take the
     remainder of the 64-bit output (the modulo bias is irrelevant here and
-    keeps the mapping trivially reproducible); floats take the top 53 bits.
+    keeps the mapping trivially reproducible); a chance draw compares the
+    top 53 bits, read as a float in [0, 1).
     """
 
     def __init__(self, seed: int):
@@ -40,11 +41,8 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def chance(self, p: float) -> bool:
-        return self.next_float() < p
+        return (self.next_u64() >> 11) * 2.0**-53 < p
 
 
 @dataclass(frozen=True)
@@ -74,24 +72,21 @@ def _vocabulary(spec: GenSpec) -> list[str]:
     return [f"w{i}" for i in range(spec.vocab_size)]
 
 
-def _draw_members(
-    rng: SplitMix64, size: int, fresh: list[str], used: list[str], overlap_rate: float
-) -> list[str]:
-    """Draw ``size`` distinct words; each slot reuses an already-used word
-    with probability ``overlap_rate``, falling back to whichever pool is
-    nonempty when the preferred one runs dry."""
+def _draw_members(rng: SplitMix64, spec: GenSpec, fresh: list[str], used: list[str]) -> list[str]:
+    """Draw a size in ``spec.class_size``, then that many distinct words; each
+    slot reuses an already-used word with probability ``overlap_rate``,
+    falling back to the other pool when the preferred one runs dry (GenSpec
+    keeps every size within ``vocab_size``)."""
+    lo, hi = spec.class_size
     members: list[str] = []
     chosen: set[str] = set()
-    for _ in range(size):
+    for _ in range(lo + rng.below(hi - lo + 1)):
         reuse_pool = [w for w in used if w not in chosen]
         fresh_pool = [w for w in fresh if w not in chosen]
-        if rng.chance(overlap_rate):
+        if rng.chance(spec.overlap_rate):
             pool = reuse_pool or fresh_pool
         else:
             pool = fresh_pool or reuse_pool
-        if not pool:
-            # unreachable for valid specs: size <= vocab_size
-            raise ValueError("vocabulary exhausted; spec is infeasible")
         word = pool[rng.below(len(pool))]
         members.append(word)
         chosen.add(word)
@@ -119,11 +114,9 @@ def gen_clustering(spec: GenSpec) -> Clustering:
     used: list[str] = []
     seen: set[frozenset[str]] = set()
     classes: list[LabeledClass] = []
-    lo, hi = spec.class_size
     for i in range(spec.n_classes):
         for _attempt in range(_MAX_REDRAWS):
-            size = lo + rng.below(hi - lo + 1)
-            members = _draw_members(rng, size, fresh, used, spec.overlap_rate)
+            members = _draw_members(rng, spec, fresh, used)
             if frozenset(members) not in seen:
                 break
         else:
@@ -145,13 +138,11 @@ def gen_hierarchy(spec: GenSpec) -> ExpertHierarchy:
     fresh = _vocabulary(spec)
     used: list[str] = []
     counter = [0]
-    lo, hi = spec.class_size
 
     def build(level: int) -> HierarchyNode:
         label = f"E{counter[0]}"
         counter[0] += 1
-        size = lo + rng.below(hi - lo + 1)
-        members = _draw_members(rng, size, fresh, used, spec.overlap_rate)
+        members = _draw_members(rng, spec, fresh, used)
         _commit(members, fresh, used)
         children: tuple[HierarchyNode, ...] = ()
         if level < spec.hierarchy_depth:
