@@ -87,7 +87,7 @@ def aggregate(
             continue
         if policy == LEAVES and not columns.is_leaf(col):
             continue
-        counted.append((columns[col].path, len(columns[col].members)))
+        counted.append((columns[col].path, columns[col].size))
     ny += sum(size for _, size in counted)
 
     overall = ContingencyTable(yy, yn, ny)

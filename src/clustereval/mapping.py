@@ -87,22 +87,34 @@ def _result(
 def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     """Score every (system class, expert column) pair by F-measure.
 
-    Only pairs that share a word are scored. Each expert column's words are
-    indexed after intersecting them with the system vocabulary, and a system
-    class's overlap with a column is the number of its words whose postings
-    hold that column. The build therefore costs one zero-filled row per
-    system class plus one count per shared (word, column) incidence. Every
+    Only pairs that share a word are scored. Each column's own words are
+    intersected with the system vocabulary and posted with the column's
+    lineage, the column and its ancestor columns, since under ``inherit`` a
+    column holds every word of its descendants. A word that several columns
+    own has its lineages merged once, so a shared ancestor counts it once. A
+    system class's overlap with a column is then the number of its words
+    whose postings hold that column. The build costs one zero-filled row per
+    system class plus one count per shared word and ancestor column. Every
     cell equals ``scores(contingency(a, b)).f_measure`` for the class and
     column word sets; pairs that share no word score 0.0.
     """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
-    sizes = [len(col.members) for col in columns]
+    sizes = [col.size for col in columns]
     vocab = frozenset().union(*(cls.member_set for cls in system.classes))
-    postings: dict[str, list[int]] = {}
+    lineages: dict[tuple[str, ...], tuple[int, ...]] = {}  # a child's path -> its parent's
+    postings: dict[str, tuple[int, ...]] = {}
+    merged: dict[str, list[int]] = {}  # the lineages of words with several owners
     for col, column in enumerate(columns):
-        for word in vocab & column.members:
-            postings.setdefault(word, []).append(col)
+        lineage = (col, *lineages.pop(column.path, ()))
+        for child in column.children:
+            lineages[child.path] = lineage
+        for word in vocab.intersection(column.own):
+            first = postings.setdefault(word, lineage)
+            if first is not lineage:
+                merged.setdefault(word, list(first)).extend(lineage)
+    for word, owners in merged.items():  # a common ancestor counts the word once
+        postings[word] = tuple(set(owners))
     rows = []
     for cls in system.classes:
         row = [0.0] * len(sizes)

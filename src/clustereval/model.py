@@ -66,6 +66,8 @@ class Clustering:
 
 @dataclass(frozen=True)
 class HierarchyNode:
+    """A labeled class with its own duplicate-free words and its subclasses."""
+
     label: str
     own_members: tuple[str, ...]
     children: tuple["HierarchyNode", ...] = ()
@@ -81,10 +83,26 @@ class ExpertHierarchy:
 
 @dataclass(frozen=True)
 class Column:
-    """One flattened hierarchy node: its label path and effective word set."""
+    """One flattened hierarchy node: its label path, its node's own words,
+    its child columns (``inherit`` mode only) and the size of its effective
+    word set. The effective set itself is built only when read."""
 
     path: tuple[str, ...]
-    members: frozenset[str]
+    own: tuple[str, ...]
+    children: tuple["Column", ...]
+    size: int
+
+    @cached_property
+    def members(self) -> frozenset[str]:
+        """The effective word set: the own words of this column and of every
+        column below it, gathered by a loop rather than one call per level."""
+        owns = []
+        stack = [self]
+        while stack:
+            column = stack.pop()
+            owns.append(column.own)
+            stack.extend(column.children)
+        return frozenset().union(*owns)
 
 
 @dataclass(frozen=True)
@@ -245,33 +263,65 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
     return ExpertHierarchy(name, roots)
 
 
+def _repeated_words(root: HierarchyNode) -> set[str]:
+    """The words that two or more nodes of the tree under ``root`` own."""
+    seen: set[str] = set()
+    repeated: set[str] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        repeated.update(seen.intersection(node.own_members))
+        seen.update(node.own_members)
+        stack.extend(node.children)
+    return repeated
+
+
 def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
     """Flatten a hierarchy into its pre-order column list.
 
-    In ``inherit`` mode every column carries the union of its node's own
-    words and all its descendants' words, so a parent contains each of its
-    subclasses. In ``own-only`` mode a column carries just the node's own
-    words.
+    In ``inherit`` mode a column's effective word set is the union of its
+    node's own words and all its descendants' words, so a parent contains
+    each of its subclasses. In ``own-only`` mode it is just the node's own
+    words. No union is built here: each column keeps its own words and, in
+    ``inherit`` mode, its child columns, and ``Column.members`` unions them
+    when read. The sizes come bottom-up: a word that one node of a tree owns
+    adds 1 to each column on that node's path to the root, and only the words
+    that several nodes of one tree own are carried up, as small sets, so each
+    counts once per subtree.
     """
     if mode not in FLATTEN_MODES:
         raise ValueError(f"unknown flatten mode {mode!r}")
+    inherit = mode == INHERIT
     columns: list[Column | None] = []
 
-    def visit(node: HierarchyNode, prefix: tuple[str, ...]) -> frozenset[str]:
+    def visit(
+        node: HierarchyNode, prefix: tuple[str, ...], repeated: set[str]
+    ) -> tuple[Column, int, set[str]]:
+        """Append the subtree's columns. Return the node's column, the number
+        of the subtree's words that one node of the tree owns, and the set of
+        the subtree's words that several nodes of the tree own."""
         path = prefix + (node.label,)
         slot = len(columns)
         columns.append(None)  # reserve the pre-order position before recursing
         below = []
         for child in node.children:  # a plain loop: one stack frame per level
-            below.append(visit(child, path))
-        effective = frozenset(node.own_members)
-        if mode == INHERIT:  # only inherit mode needs the subtree union
-            effective = effective.union(*below)
-            if not effective:
+            below.append(visit(child, path, repeated))
+        own = node.own_members
+        shared = repeated.intersection(own)
+        once = len(own) - len(shared)
+        for _, child_once, child_shared in below:
+            once += child_once
+            shared |= child_shared
+        if inherit:
+            column = Column(path, own, tuple(c for c, _, _ in below), once + len(shared))
+            if not column.size:
                 raise ValueError(f"node {node.label!r} has an empty effective member set")
-        columns[slot] = Column(path, effective)
-        return effective
+        else:
+            column = Column(path, own, (), len(own))
+        columns[slot] = column
+        return column, once, shared
 
     for root in hierarchy.roots:
-        visit(root, ())
+        # a single node repeats no word, and own-only sizes need no repeats
+        visit(root, (), _repeated_words(root) if inherit and root.children else set())
     return ColumnList(mode, tuple(columns))  # type: ignore[arg-type]

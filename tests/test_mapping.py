@@ -114,9 +114,13 @@ def _differential_instance(seed):
             hierarchy_depth=2 + seed % 2,
         )
     )
-    # a row and a column that share no word with the other side
-    system = Clustering(system.name, system.classes + (LabeledClass("ROW", ("row-only",)),))
     first = expert.roots[0]
+    # a row that shares a word with column 1, the first child of the first
+    # root, and a row and a column that share no word with the other side
+    shared = LabeledClass("SHARED", first.children[0].own_members[:1])
+    system = Clustering(
+        system.name, system.classes + (shared, LabeledClass("ROW", ("row-only",)))
+    )
     roots = (
         replace(first, own_members=()),  # an empty column under own-only
         *expert.roots[1:],
@@ -137,6 +141,7 @@ def test_build_f_table_matches_dense_oracle(seed):
         assert table.row_labels == system.labels()
         assert table.col_paths == tuple(col.path for col in columns)
         assert table.cells == _dense_f_table(system, columns)
+        assert table.cells[-2][1] > 0.0  # SHARED, so no case is all zeros
         assert table.cells[-1] == (0.0,) * len(columns)  # ROW
         assert all(row[-1] == 0.0 for row in table.cells)  # COL
         assert bool(columns[0].members) == (mode == INHERIT)

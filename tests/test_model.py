@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import unicodedata
 from unittest import mock
 
@@ -8,7 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clustereval import model
+from clustereval.mapping import build_f_table, resolve_conflicts
 from clustereval.model import (
+    FLATTEN_MODES,
     INHERIT,
     OWN_ONLY,
     Clustering,
@@ -29,7 +32,7 @@ from conftest import (
     hierarchy_doc,
     node,
 )
-from testkit import GenSpec, gen_hierarchy
+from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 
 def node_count(hierarchy: ExpertHierarchy) -> int:
@@ -239,6 +242,104 @@ def test_flatten_preorder_column_count_and_containment(seed):
         if len(col.path) > 1:
             parent = by_path[col.path[:-1]]
             assert col.members <= parent.members
+
+
+def _eager_flatten(hierarchy: ExpertHierarchy, mode: str) -> list[tuple[tuple, frozenset]]:
+    """The earlier flatten, which built every inherited word set as it went:
+    the oracle for the column sizes and the lazily built Column.members."""
+    columns: list = []
+
+    def visit(node: HierarchyNode, prefix: tuple[str, ...]) -> frozenset:
+        path = prefix + (node.label,)
+        slot = len(columns)
+        columns.append(None)
+        below = [visit(child, path) for child in node.children]
+        effective = frozenset(node.own_members)
+        if mode == INHERIT:
+            effective = effective.union(*below)
+        columns[slot] = (path, effective)
+        return effective
+
+    for root in hierarchy.roots:
+        visit(root, ())
+    return columns
+
+
+def _assert_flatten_matches_eager(hierarchy: ExpertHierarchy, mode: str) -> None:
+    cols = flatten(hierarchy, mode)
+    expected = _eager_flatten(hierarchy, mode)
+    assert [c.path for c in cols] == [path for path, _ in expected]
+    assert [c.size for c in cols] == [len(words) for _, words in expected]  # before any union
+    assert [c.members for c in cols] == [words for _, words in expected]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    overlap=st.floats(0.0, 1.0),
+    mode=st.sampled_from(FLATTEN_MODES),
+)
+@example(seed=6, depth=3, overlap=1.0, mode=INHERIT)
+@example(seed=7, depth=3, overlap=0.0, mode=INHERIT)
+def test_flatten_matches_eager_oracle(seed, depth, overlap, mode):
+    spec = GenSpec(
+        seed=seed,
+        vocab_size=20,
+        n_classes=1 + seed % 3,
+        class_size=(1, 4),
+        overlap_rate=overlap,
+        hierarchy_depth=depth,
+    )
+    _assert_flatten_matches_eager(gen_hierarchy(spec), mode)
+
+
+def _n(label: str, words: str, *children: HierarchyNode) -> HierarchyNode:
+    return HierarchyNode(label, tuple(words.split()), children)
+
+
+@pytest.mark.parametrize(
+    "roots, inherited_sizes",
+    [
+        # "a" in a parent and its child
+        ((_n("P", "a b", _n("C", "a")),), [2, 1]),
+        # "a" in two siblings, and "b" in their parent and one of them
+        ((_n("P", "b", _n("A", "a b"), _n("B", "a")),), [2, 2, 1]),
+        # "a" in two cousins, each under its own parent
+        ((_n("R", "x", _n("P", "p", _n("A", "a")), _n("Q", "q", _n("B", "a"))),), [4, 2, 1, 2, 1]),
+        # "a" and "b" each in two different roots, and once more in one tree
+        ((_n("R", "a", _n("C", "b a")), _n("S", "b", _n("D", "a"))), [2, 2, 2, 1]),
+        # "a" on three levels of one path, next to a word of its own
+        ((_n("G", "a", _n("P", "a", _n("C", "a c"))),), [2, 2, 2]),
+    ],
+    ids=["parent-and-child", "siblings", "cousins", "two-roots", "one-path"],
+)
+@pytest.mark.parametrize("mode", FLATTEN_MODES)
+def test_flatten_counts_a_word_of_several_nodes_once(roots, inherited_sizes, mode):
+    h = ExpertHierarchy("e", roots)
+    _assert_flatten_matches_eager(h, mode)
+    if mode == INHERIT:
+        assert [c.size for c in flatten(h, mode)] == inherited_sizes
+
+
+def test_scoring_builds_no_inherited_word_set():
+    spec = GenSpec(seed=3, vocab_size=40, n_classes=2, class_size=(1, 4), hierarchy_depth=3)
+    cols = flatten(gen_hierarchy(spec), INHERIT)
+    system = gen_clustering(GenSpec(seed=4, vocab_size=40, n_classes=6, class_size=(2, 6)))
+    mapping = resolve_conflicts(build_f_table(system, cols))
+    assert mapping.pairs
+    assert max(len(c.path) for c in cols) == 3
+    assert [c.path for c in cols if c.children and "members" in vars(c)] == []
+
+
+def test_members_of_a_deep_chain_need_no_call_per_level():
+    # flatten recurses once per level; reading members must not recurse at all
+    depth = sys.getrecursionlimit() // 2
+    node = HierarchyNode(f"n{depth}", (f"w{depth}",))
+    for i in reversed(range(depth)):
+        node = HierarchyNode(f"n{i}", (f"w{i}",), (node,))
+    top = flatten(ExpertHierarchy("deep", (node,)), INHERIT)[0]
+    assert top.size == depth + 1
+    assert top.members == {f"w{i}" for i in range(depth + 1)}
 
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)

@@ -87,6 +87,7 @@ SUBMODULE_PUBLIC = {
         "Clustering.labels",
         "Clustering.total_incidences",
         "Column",
+        "Column.members",
         "ColumnList",
         "ColumnList.is_leaf",
         "ColumnList.is_top_level",

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import pytest
 
 from clustereval.aggregate import evaluate
 
+import testkit
 from conftest import as_flat_hierarchy
 from testkit import GenSpec, SplitMix64, gen_clustering, gen_hierarchy
 
@@ -73,10 +75,22 @@ def test_gen_clustering_rejects_forced_duplicate_sets():
 
 
 def test_gen_clustering_member_sets_pairwise_distinct():
-    spec = GenSpec(seed=11, vocab_size=8, n_classes=6, class_size=(1, 2), overlap_rate=0.6)
-    c = gen_clustering(spec)
+    # seed 2 draws a set that an earlier class already holds, so it redraws
+    spec = GenSpec(seed=2, vocab_size=8, n_classes=6, class_size=(1, 2), overlap_rate=0.6)
+    drawn: list[frozenset[str]] = []
+
+    def draw(*args):
+        members = real_draw(*args)
+        drawn.append(frozenset(members))
+        return members
+
+    real_draw = testkit._draw_members
+    with mock.patch.object(testkit, "_draw_members", draw):
+        c = gen_clustering(spec)
     sets = [cls.member_set for cls in c.classes]
     assert len(set(sets)) == len(sets)
+    assert len(drawn) > len(sets)  # the redraw path ran
+    assert set(drawn) == set(sets)  # and every rejected draw repeated a kept set
 
 
 @pytest.mark.parametrize(
