@@ -1,9 +1,9 @@
 """Fold mapped pairs and unmapped classes into one overall score.
 
 A single contingency table accumulates the per-pair counts of every
-mapped (system class, expert column) pair; every member of an unmapped
-system class then lands in YES-NO, and every member of an unmapped
-expert column lands in NO-YES.
+mapped (system class, expert column) pair, read from the pair's F and the
+two class sizes; every member of an unmapped system class then lands in
+YES-NO, and every member of an unmapped expert column lands in NO-YES.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mapping import DEFAULT_THRESHOLD, MappingResult, build_f_table, resolve_conflicts
-from .metrics import ContingencyTable, Scores, contingency, scores
+from .metrics import ContingencyTable, Scores, f_measure, scores
 from .model import INHERIT, Clustering, ColumnList, ExpertHierarchy, flatten
 
 ALL_COLUMNS = "all-columns"
@@ -67,10 +67,14 @@ def aggregate(
 
     yy = yn = ny = 0
     per_pair: list[PairOutcome] = []
-    for row, col, _f in mapping.pairs:
+    for row, col, f in mapping.pairs:
         cls = system.classes[row]
         column = columns[col]
-        table = contingency(cls.member_set, column.members)
+        # exact while |a|+|b| < 2**51: F is the one rounded division 2·yy/(|a|+|b|)
+        shared = round(f * (len(cls) + column.size) / 2)
+        if shared > min(len(cls), column.size) or f_measure(shared, len(cls), column.size) != f:
+            raise ValueError("mapping does not match this system clustering and column list")
+        table = ContingencyTable(shared, len(cls) - shared, column.size - shared)
         per_pair.append(PairOutcome(cls.label, column.path, table, scores(table)))
         yy += table.yy
         yn += table.yn

@@ -101,7 +101,7 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
     sizes = [col.size for col in columns]
-    vocab = frozenset().union(*(cls.member_set for cls in system.classes))
+    vocab = frozenset().union(*(cls.members for cls in system.classes))
     lineages: dict[tuple[str, ...], tuple[int, ...]] = {}  # a child's path -> its parent's
     postings: dict[str, tuple[int, ...]] = {}
     merged: dict[str, list[int]] = {}  # the lineages of words with several owners

@@ -64,7 +64,7 @@ def co_classified_pairs(clustering: Clustering) -> frozenset[tuple[str, str]]:
     """All unordered word pairs sharing at least one class, deduplicated."""
     pairs: set[tuple[str, str]] = set()
     for cls in clustering.classes:
-        pairs.update(combinations(sorted(cls.member_set), 2))
+        pairs.update(combinations(sorted(cls.members), 2))
     return frozenset(pairs)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
 from typing import NoReturn
@@ -36,10 +36,6 @@ class LabeledClass:
 
     label: str
     members: tuple[str, ...]
-
-    @cached_property
-    def member_set(self) -> frozenset[str]:
-        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -84,18 +80,19 @@ class ExpertHierarchy:
 @dataclass(frozen=True)
 class Column:
     """One flattened hierarchy node: its label path, its node's own words,
-    its child columns (``inherit`` mode only) and the size of its effective
-    word set. The effective set itself is built only when read."""
+    its child columns (``inherit`` mode only; out of ``repr`` and ``==``, which
+    would recurse once per level) and the size of its effective word set."""
 
     path: tuple[str, ...]
     own: tuple[str, ...]
-    children: tuple["Column", ...]
+    children: tuple["Column", ...] = field(repr=False, compare=False)
     size: int
 
     @cached_property
     def members(self) -> frozenset[str]:
-        """The effective word set: the own words of this column and of every
-        column below it, gathered by a loop rather than one call per level."""
+        """The effective word set: this column's own words and those of every
+        column below it, gathered by a loop, not one call per level. No
+        command builds it: a mapped pair's counts come from its F and sizes."""
         owns = []
         stack = [self]
         while stack:
@@ -282,12 +279,11 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
     In ``inherit`` mode a column's effective word set is the union of its
     node's own words and all its descendants' words, so a parent contains
     each of its subclasses. In ``own-only`` mode it is just the node's own
-    words. No union is built here: each column keeps its own words and, in
-    ``inherit`` mode, its child columns, and ``Column.members`` unions them
-    when read. The sizes come bottom-up: a word that one node of a tree owns
-    adds 1 to each column on that node's path to the root, and only the words
-    that several nodes of one tree own are carried up, as small sets, so each
-    counts once per subtree.
+    words. No command builds that union: each column keeps its own words
+    and, in ``inherit`` mode, its child columns. The sizes come bottom-up:
+    a word that one node of a tree owns adds 1 to each column on that
+    node's path to the root, and only the words that several nodes of one
+    tree own are carried up, as small sets, so each counts once per subtree.
     """
     if mode not in FLATTEN_MODES:
         raise ValueError(f"unknown flatten mode {mode!r}")

@@ -86,10 +86,12 @@ def pair_oracle(system: Clustering, expert: Clustering) -> tuple[int, int, int]:
         {w for c in system.classes for w in c.members}
         | {w for c in expert.classes for w in c.members}
     )
+    system_sets = [frozenset(c.members) for c in system.classes]
+    expert_sets = [frozenset(c.members) for c in expert.classes]
     yy = yn = ny = 0
     for a, b in combinations(words, 2):
-        in_sys = any(a in c.member_set and b in c.member_set for c in system.classes)
-        in_exp = any(a in c.member_set and b in c.member_set for c in expert.classes)
+        in_sys = any(a in s and b in s for s in system_sets)
+        in_exp = any(a in s and b in s for s in expert_sets)
         yy += in_sys and in_exp
         yn += in_sys and not in_exp
         ny += in_exp and not in_sys

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clustereval.aggregate import (
     ALL_COLUMNS,
     LEAVES,
     TOP_LEVEL,
+    UNMAPPED_POLICIES,
     aggregate,
     evaluate,
 )
 from clustereval.mapping import MappingResult, build_f_table, resolve_conflicts
-from clustereval.model import INHERIT, ExpertHierarchy, HierarchyNode, flatten
+from clustereval.metrics import ContingencyTable, contingency, f_measure
+from clustereval.model import FLATTEN_MODES, INHERIT, ExpertHierarchy, HierarchyNode, flatten
 
 from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, as_flat_hierarchy, make_clustering
 from testkit import GenSpec, gen_clustering, gen_hierarchy
@@ -84,6 +88,85 @@ def test_mapping_mismatch_rejected():
     )
     with pytest.raises(ValueError, match="does not match"):
         aggregate(system, columns, other_mapping)
+
+
+@pytest.mark.parametrize(
+    "scored, passed, f",
+    [
+        # 0.5 is not a possible F for sizes 2 and 3
+        (["a"], ["a", "b"], 0.5),
+        # F = 1 for sizes 1 and 3 would need 2 shared words in a class of 1
+        (["a", "b", "c"], ["a"], 1.0),
+    ],
+    ids=["impossible-f", "overlap-above-class-size"],
+)
+def test_mapping_from_other_class_sizes_rejected(scored, passed, f):
+    columns = flatten(as_flat_hierarchy(make_clustering(("E", ["a", "b", "c"]))), INHERIT)
+    mapping = resolve_conflicts(build_f_table(make_clustering(("S", scored)), columns), 0.2)
+    assert mapping.pairs == ((0, 0, f),)
+    with pytest.raises(ValueError, match="does not match"):
+        aggregate(make_clustering(("S", passed)), columns, mapping)
+
+
+def test_overlap_is_exact_from_f_and_sizes():
+    # F = 2·yy/(m+a) depends on m and a only through m+a, so the sums up to
+    # 600 cover every yy <= min(m, a) with m, a <= 300
+    for total in range(2, 601):
+        marked = total // 2
+        for yy in range(marked + 1):
+            assert round(f_measure(yy, marked, total - marked) * total / 2) == yy
+
+
+@given(st.integers(1, 10**12), st.integers(1, 10**12), st.data())
+def test_overlap_is_exact_for_large_sizes(marked, actual, data):
+    yy = data.draw(st.integers(0, min(marked, actual)))
+    assert round(f_measure(yy, marked, actual) * (marked + actual) / 2) == yy
+
+
+@pytest.mark.parametrize("shared, marked, actual", [(1, 1, 48), (7, 7, 18)])
+def test_pair_counts_round_a_product_that_misses_by_an_ulp(shared, marked, actual):
+    # F·(m+a)/2 lands just below yy for the first case and just above it for
+    # the second, so truncating or rounding up would miscount the pair
+    assert f_measure(shared, marked, actual) * (marked + actual) / 2 != shared
+    words = [f"w{i}" for i in range(marked + actual - shared)]
+    system = make_clustering(("S", words[:marked]))
+    expert = as_flat_hierarchy(make_clustering(("E", words[marked - shared :])))
+    report = evaluate(system, expert, threshold=0.0)
+    assert report.per_pair[0].table == ContingencyTable(shared, marked - shared, actual - shared)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pair_tables_match_a_recount_of_the_word_sets(seed):
+    system = gen_clustering(
+        GenSpec(
+            seed=seed,
+            vocab_size=30,
+            n_classes=2 + seed % 5,
+            class_size=(1, 8),
+            overlap_rate=(seed % 3) * 0.3,
+        )
+    )
+    expert = gen_hierarchy(
+        GenSpec(
+            seed=seed + 555,
+            vocab_size=30,
+            n_classes=1 + seed % 4,
+            class_size=(1, 6),
+            overlap_rate=(seed % 4) * 0.3,
+            hierarchy_depth=1 + seed % 3,
+        )
+    )
+    for mode in FLATTEN_MODES:
+        columns = flatten(expert, mode)
+        table = build_f_table(system, columns)
+        for threshold in (0.0, 0.2, 0.5):
+            mapping = resolve_conflicts(table, threshold)
+            for policy in UNMAPPED_POLICIES:
+                report = aggregate(system, columns, mapping, policy)
+                assert len(report.per_pair) == len(mapping.pairs)
+                for (row, col, _), pair in zip(mapping.pairs, report.per_pair):
+                    words = frozenset(system.classes[row].members)
+                    assert pair.table == contingency(words, columns[col].members)
 
 
 def test_aggregate_invariant_to_pair_order():

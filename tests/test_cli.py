@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from clustereval import model
 from clustereval.cli import main
 
 from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, clustering_doc, hierarchy_doc, node
@@ -538,3 +539,30 @@ def test_flatten_and_policy_flags_are_honored(capsys, tmp_path):
         "own-only",
     )
     assert "overall: yy=0 yn=1 ny=3" in own_only
+
+
+def test_no_command_builds_an_inherited_word_set(capsys, tmp_path, monkeypatch):
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(
+        clustering_doc([("S1", ["a", "b", "c", "d", "e"]), ("S2", ["c", "d"]), ("S3", ["e"])]),
+        encoding="utf-8",
+    )
+    tree = node("A", ["a", "b"], [node("B", ["c"], [node("C", ["d"])]), node("D", ["e", "f"])])
+    expert.write_text(hierarchy_doc([tree]), encoding="utf-8")
+    io_args = ("--system", str(system), "--expert", str(expert))
+    commands = [
+        ("evaluate",),
+        ("evaluate", "--format", "json"),
+        ("evaluate", "--trace"),
+        ("table", "--trace"),
+        ("sweep", "--thresholds", "0,0.2,0.5"),
+    ]
+    expected = [run(capsys, *command, *io_args) for command in commands]
+    assert [code for code, _, _ in expected] == [0] * len(commands)
+
+    def members(column):
+        pytest.fail(f"column {column.path} built its inherited word set")
+
+    monkeypatch.setattr(model.Column, "members", property(members))
+    assert [run(capsys, *command, *io_args) for command in commands] == expected

@@ -89,7 +89,7 @@ def test_equal_fractions_tie_toward_the_smaller_column():
 def _dense_f_table(system, columns):
     """The F-measure of every cell, one by one: the oracle for build_f_table."""
     return tuple(
-        tuple(scores(contingency(cls.member_set, col.members)).f_measure for col in columns)
+        tuple(scores(contingency(frozenset(cls.members), col.members)).f_measure for col in columns)
         for cls in system.classes
     )
 

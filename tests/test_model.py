@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clustereval import model
+from clustereval.aggregate import UNMAPPED_POLICIES, aggregate
 from clustereval.mapping import build_f_table, resolve_conflicts
 from clustereval.model import (
     FLATTEN_MODES,
@@ -122,7 +123,7 @@ def test_members_normalized_nfc_and_stripped():
     doc = clustering_doc([("A", [" cat ", "café"]), ("B", ["café"])])
     c = parse_clustering(doc)
     assert c.classes[0].members == ("cat", "café")
-    assert c.classes[0].member_set & c.classes[1].member_set == {"café"}
+    assert set(c.classes[0].members) & set(c.classes[1].members) == {"café"}
 
 
 def test_nfc_duplicate_in_one_class_rejected():
@@ -194,7 +195,7 @@ def test_flatten_flat_hierarchy_same_in_both_modes():
     for mode in (INHERIT, OWN_ONLY):
         cols = flatten(h, mode)
         assert len(cols) == 3
-        assert [c2.members for c2 in cols] == [frozenset(k.member_set) for k in c.classes]
+        assert [c2.members for c2 in cols] == [frozenset(k.members) for k in c.classes]
 
 
 def test_flatten_rejects_unknown_mode():
@@ -323,23 +324,44 @@ def test_flatten_counts_a_word_of_several_nodes_once(roots, inherited_sizes, mod
 
 def test_scoring_builds_no_inherited_word_set():
     spec = GenSpec(seed=3, vocab_size=40, n_classes=2, class_size=(1, 4), hierarchy_depth=3)
-    cols = flatten(gen_hierarchy(spec), INHERIT)
+    expert = gen_hierarchy(spec)
     system = gen_clustering(GenSpec(seed=4, vocab_size=40, n_classes=6, class_size=(2, 6)))
-    mapping = resolve_conflicts(build_f_table(system, cols))
-    assert mapping.pairs
-    assert max(len(c.path) for c in cols) == 3
-    assert [c.path for c in cols if c.children and "members" in vars(c)] == []
+    for mode in FLATTEN_MODES:
+        cols = flatten(expert, mode)
+        mapping = resolve_conflicts(build_f_table(system, cols))
+        assert mapping.pairs
+        for policy in UNMAPPED_POLICIES:
+            aggregate(system, cols, mapping, policy)
+        assert max(len(c.path) for c in cols) == 3
+        assert [c.path for c in cols if "members" in vars(c)] == []
+
+
+def _deep_chain(depth: int) -> ExpertHierarchy:
+    """One root with ``depth`` levels below it, one word per level."""
+    node = HierarchyNode(f"n{depth}", (f"w{depth}",))
+    for i in reversed(range(depth)):
+        node = HierarchyNode(f"n{i}", (f"w{i}",), (node,))
+    return ExpertHierarchy("deep", (node,))
 
 
 def test_members_of_a_deep_chain_need_no_call_per_level():
     # flatten recurses once per level; reading members must not recurse at all
     depth = sys.getrecursionlimit() // 2
-    node = HierarchyNode(f"n{depth}", (f"w{depth}",))
-    for i in reversed(range(depth)):
-        node = HierarchyNode(f"n{i}", (f"w{i}",), (node,))
-    top = flatten(ExpertHierarchy("deep", (node,)), INHERIT)[0]
+    top = flatten(_deep_chain(depth), INHERIT)[0]
     assert top.size == depth + 1
     assert top.members == {f"w{i}" for i in range(depth + 1)}
+
+
+def test_columns_of_a_deep_chain_print_compare_and_hash():
+    # a column's children stay out of repr, == and hash, which would
+    # otherwise recurse once per level
+    depth = sys.getrecursionlimit() // 2
+    cols = flatten(_deep_chain(depth), INHERIT)
+    again = flatten(_deep_chain(depth), INHERIT)
+    assert repr(cols).count("Column(") == depth + 1
+    assert "children" not in repr(cols[0])
+    assert cols == again and cols[0] == again[0]
+    assert hash(cols) == hash(again)
 
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)

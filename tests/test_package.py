@@ -97,7 +97,6 @@ SUBMODULE_PUBLIC = {
         "HierarchyNode",
         "INHERIT",
         "LabeledClass",
-        "LabeledClass.member_set",
         "OWN_ONLY",
         "flatten",
         "parse_clustering",

@@ -37,7 +37,7 @@ def test_gen_clustering_zero_overlap_gives_disjoint_classes():
     spec = GenSpec(seed=1, vocab_size=10, n_classes=2, class_size=(2, 3), overlap_rate=0.0)
     c = gen_clustering(spec)
     assert len(c.classes) == 2
-    assert not (c.classes[0].member_set & c.classes[1].member_set)
+    assert not set(c.classes[0].members) & set(c.classes[1].members)
     assert c.is_partition()
 
 
@@ -47,7 +47,7 @@ def test_gen_clustering_sizes_and_vocabulary():
     vocab = {f"w{i}" for i in range(15)}
     for cls in c.classes:
         assert 2 <= len(cls) <= 4
-        assert cls.member_set <= vocab
+        assert set(cls.members) <= vocab
     assert c.labels() == tuple(f"C{i}" for i in range(5))
 
 
@@ -56,7 +56,7 @@ def test_gen_clustering_full_overlap_reuses_earlier_words():
     subset_seen = False
     for seed in range(30):
         c = gen_clustering(GenSpec(seed=seed, **spec_template))
-        first, second = c.classes[0].member_set, c.classes[1].member_set
+        first, second = frozenset(c.classes[0].members), frozenset(c.classes[1].members)
         if len(second) <= len(first):
             assert second <= first
             subset_seen = True
@@ -87,7 +87,7 @@ def test_gen_clustering_member_sets_pairwise_distinct():
     real_draw = testkit._draw_members
     with mock.patch.object(testkit, "_draw_members", draw):
         c = gen_clustering(spec)
-    sets = [cls.member_set for cls in c.classes]
+    sets = [frozenset(cls.members) for cls in c.classes]
     assert len(set(sets)) == len(sets)
     assert len(drawn) > len(sets)  # the redraw path ran
     assert set(drawn) == set(sets)  # and every rejected draw repeated a kept set
