@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
 from operator import itemgetter
 
 from .metrics import f_measure
@@ -88,37 +87,55 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     """Score every (system class, expert column) pair by F-measure.
 
     Only pairs that share a word are scored. Each column's own words are
-    intersected with the system vocabulary and posted with the column's
-    lineage, the column and its ancestor columns, since under ``inherit`` a
-    column holds every word of its descendants. A word that several columns
-    own has its lineages merged once, so a shared ancestor counts it once. A
-    system class's overlap with a column is then the number of its words
-    whose postings hold that column. The build costs one zero-filled row per
-    system class plus one count per shared word and ancestor column. Every
+    intersected with the system vocabulary, and the words that lie in exactly
+    the same columns form one word group. A word that one column owns
+    belongs to that column's group, whose columns are its lineage: the
+    column and, under ``inherit``, its ancestor columns, since a column
+    holds every word of its descendants. A word that several columns own
+    belongs to the group of the union of their lineages, so a shared
+    ancestor counts it once. Each system class counts its words per group
+    and adds each group's count to the group's columns. The build costs one
+    zero-filled row per system class, plus one count per word of the class
+    and one addition per column of each group that the class touches. Every
     cell equals ``scores(contingency(a, b)).f_measure`` for the class and
     column word sets; pairs that share no word score 0.0.
     """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
+    n = len(columns)
     sizes = [col.size for col in columns]
     vocab = frozenset().union(*(cls.members for cls in system.classes))
-    lineages: dict[tuple[str, ...], tuple[int, ...]] = {}  # a child's path -> its parent's
-    postings: dict[str, tuple[int, ...]] = {}
+    lineages: list[tuple[int, ...]] = []  # per column: the column and its ancestors
+    parents: dict[tuple[str, ...], tuple[int, ...]] = {}  # a child's path -> its parent's lineage
+    group: dict[str, int] = {}  # a word -> its one owner column, or a group id from n up
     merged: dict[str, list[int]] = {}  # the lineages of words with several owners
     for col, column in enumerate(columns):
-        lineage = (col, *lineages.pop(column.path, ()))
+        lineage = (col, *parents.pop(column.path, ()))
+        lineages.append(lineage)
         for child in column.children:
-            lineages[child.path] = lineage
+            parents[child.path] = lineage
         for word in vocab.intersection(column.own):
-            first = postings.setdefault(word, lineage)
-            if first is not lineage:
-                merged.setdefault(word, list(first)).extend(lineage)
-    for word, owners in merged.items():  # a common ancestor counts the word once
-        postings[word] = tuple(set(owners))
+            first = group.setdefault(word, col)
+            if first != col:
+                merged.setdefault(word, list(lineages[first])).extend(lineage)
+    # A group id below n is a column, standing for the column's lineage; the
+    # groups of more than one column are kept here with their columns.
+    spans = {col: lineage for col, lineage in enumerate(lineages) if len(lineage) > 1}
+    ids: dict[frozenset[int], int] = {}
+    for word, owners in merged.items():
+        group[word] = ids.setdefault(frozenset(owners), n + len(ids))
+    spans.update((gid, tuple(cols)) for cols, gid in ids.items())
     rows = []
     for cls in system.classes:
-        row = [0.0] * len(sizes)
-        overlaps = Counter(chain.from_iterable(map(postings.get, cls.members, repeat(()))))
+        row = [0.0] * n
+        overlaps = Counter(map(group.get, cls.members))
+        overlaps.pop(None, None)  # the words that no column holds
+        # Take every wider group's count out before adding any: a column
+        # with ancestors has its lineage group under its own id.
+        wide = [(spans[gid], overlaps.pop(gid)) for gid in spans.keys() & overlaps.keys()]
+        for cols, k in wide:
+            for col in cols:
+                overlaps[col] = overlaps.get(col, 0) + k
         for col, yy in overlaps.items():
             row[col] = f_measure(yy, len(cls), sizes[col])
         rows.append(tuple(row))  # freeze each row so the table is never held twice

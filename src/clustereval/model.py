@@ -262,14 +262,19 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
 
 def _repeated_words(root: HierarchyNode) -> set[str]:
     """The words that two or more nodes of the tree under ``root`` own."""
-    seen: set[str] = set()
-    repeated: set[str] = set()
+    owns = []
     stack = [root]
     while stack:
         node = stack.pop()
-        repeated.update(seen.intersection(node.own_members))
-        seen.update(node.own_members)
+        owns.append(node.own_members)
         stack.extend(node.children)
+    if len(set().union(*owns)) == sum(map(len, owns)):  # a node's own words are distinct
+        return set()
+    seen: set[str] = set()
+    repeated: set[str] = set()
+    for own in owns:
+        repeated.update(seen.intersection(own))
+        seen.update(own)
     return repeated
 
 

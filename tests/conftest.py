@@ -50,6 +50,12 @@ def make_clustering(*classes, name="fixture") -> Clustering:
     return Clustering(name, tuple(LabeledClass(l, tuple(m)) for l, m in classes))
 
 
+def tree(label: str, words: str, *children: HierarchyNode) -> HierarchyNode:
+    """A hierarchy node from its label, its own words as one spaced string,
+    and its children."""
+    return HierarchyNode(label, tuple(words.split()), children)
+
+
 def as_flat_hierarchy(clustering: Clustering) -> ExpertHierarchy:
     """View a flat clustering as a degenerate one-level hierarchy."""
     roots = tuple(HierarchyNode(cls.label, cls.members) for cls in clustering.classes)

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clustereval.mapping import (
     FTable,
@@ -33,6 +35,7 @@ from conftest import (
     as_flat_hierarchy,
     make_clustering,
     total_f,
+    tree,
 )
 from testkit import GenSpec, gen_clustering, gen_hierarchy
 
@@ -145,6 +148,103 @@ def test_build_f_table_matches_dense_oracle(seed):
         assert table.cells[-1] == (0.0,) * len(columns)  # ROW
         assert all(row[-1] == 0.0 for row in table.cells)  # COL
         assert bool(columns[0].members) == (mode == INHERIT)
+
+
+_PREFIX = [f"u{i}" for i in range(9)]
+
+
+@pytest.mark.parametrize(
+    "rows, roots",
+    [
+        # every row word lies in every column, so all words form one group
+        (
+            [_PREFIX[:4], _PREFIX[:5], _PREFIX[:6]],
+            [tree(f"E{j}", " ".join(_PREFIX[: 9 - j])) for j in range(3)],
+        ),
+        # the same family as a chain: each column also inherits the next
+        (
+            [_PREFIX[:4], _PREFIX[:6], _PREFIX[6:]],
+            [tree("C0", "u8", tree("C1", "u7", tree("C2", " ".join(_PREFIX[:7]))))],
+        ),
+        # "a" in a node, its child and its grandchild; "b" and "c" once each
+        (
+            [["a"], ["a", "c"], ["b", "x"]],
+            [tree("P", "a b", tree("C", "a c", tree("G", "a")))],
+        ),
+        # "a" in a node and its child, and "c" in the child only, next to six
+        # more roots: the group of "a" and the child's lineage group both
+        # reach the child's column, so each count must be taken once
+        (
+            [["a", "c"], ["c"]],
+            [tree("P", "a b", tree("C", "a c")), *(tree(f"X{i}", f"x{i}") for i in range(6))],
+        ),
+        # "a" in two roots, once at a root and once below the other root
+        (
+            [["a", "c"], ["a", "d"], ["a"]],
+            [tree("R1", "a b", tree("K", "c")), tree("R2", "d", tree("L", "a e"))],
+        ),
+        # "a" and "b" both owned by X and Y: one group for the two words
+        (
+            [["a", "b"], ["a", "p"], ["b", "q", "r"]],
+            [tree("X", "a b p", tree("Z", "r")), tree("Y", "a b q")],
+        ),
+        # "z" lies in no column, on its own and next to a held word
+        (
+            [["z"], ["a", "z"]],
+            [tree("A", "a b"), tree("B", "c")],
+        ),
+    ],
+    ids=[
+        "prefix-family",
+        "prefix-chain",
+        "node-and-descendant",
+        "node-and-child-among-roots",
+        "two-roots",
+        "same-owners",
+        "unheld",
+    ],
+)
+@pytest.mark.parametrize("mode", FLATTEN_MODES)
+def test_build_f_table_counts_word_groups(rows, roots, mode):
+    system = Clustering("s", tuple(LabeledClass(f"S{i}", tuple(r)) for i, r in enumerate(rows)))
+    columns = flatten(ExpertHierarchy("e", tuple(roots)), mode)
+    cells = build_f_table(system, columns).cells
+    assert cells == _dense_f_table(system, columns)
+    assert any(map(any, cells))
+
+
+_TINY_WORDS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def _tiny_instances(draw):
+    """Up to 21 nodes over six words, so most words have several owners."""
+    labels = iter(range(100))
+
+    def grow(depth: int) -> HierarchyNode:
+        label = f"N{next(labels)}"
+        n_children = draw(st.integers(0, 2 if depth < 3 else 0))
+        children = tuple(grow(depth + 1) for _ in range(n_children))
+        # a leaf needs a word of its own; an inner node may have none
+        min_size = 0 if children else 1
+        own = draw(st.lists(owned, unique=True, min_size=min_size, max_size=4))
+        return HierarchyNode(label, tuple(own), children)
+
+    owned = st.sampled_from(_TINY_WORDS)
+    roots = tuple(grow(1) for _ in range(draw(st.integers(1, 3))))
+    word = st.sampled_from(_TINY_WORDS + ("z",))
+    row = st.lists(word, unique=True, min_size=1, max_size=5)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    system = Clustering("s", tuple(LabeledClass(f"S{i}", tuple(r)) for i, r in enumerate(rows)))
+    return system, ExpertHierarchy("e", roots)
+
+
+@given(_tiny_instances())
+def test_build_f_table_matches_dense_oracle_on_tiny_vocabularies(instance):
+    system, expert = instance
+    for mode in FLATTEN_MODES:
+        columns = flatten(expert, mode)
+        assert build_f_table(system, columns).cells == _dense_f_table(system, columns)
 
 
 def test_threshold_zero_maps_a_zero_overlap_row_to_the_first_free_column():

@@ -32,6 +32,7 @@ from conftest import (
     clustering_doc,
     hierarchy_doc,
     node,
+    tree,
 )
 from testkit import GenSpec, gen_clustering, gen_hierarchy
 
@@ -294,23 +295,22 @@ def test_flatten_matches_eager_oracle(seed, depth, overlap, mode):
     _assert_flatten_matches_eager(gen_hierarchy(spec), mode)
 
 
-def _n(label: str, words: str, *children: HierarchyNode) -> HierarchyNode:
-    return HierarchyNode(label, tuple(words.split()), children)
-
-
 @pytest.mark.parametrize(
     "roots, inherited_sizes",
     [
         # "a" in a parent and its child
-        ((_n("P", "a b", _n("C", "a")),), [2, 1]),
+        ((tree("P", "a b", tree("C", "a")),), [2, 1]),
         # "a" in two siblings, and "b" in their parent and one of them
-        ((_n("P", "b", _n("A", "a b"), _n("B", "a")),), [2, 2, 1]),
+        ((tree("P", "b", tree("A", "a b"), tree("B", "a")),), [2, 2, 1]),
         # "a" in two cousins, each under its own parent
-        ((_n("R", "x", _n("P", "p", _n("A", "a")), _n("Q", "q", _n("B", "a"))),), [4, 2, 1, 2, 1]),
+        (
+            (tree("R", "x", tree("P", "p", tree("A", "a")), tree("Q", "q", tree("B", "a"))),),
+            [4, 2, 1, 2, 1],
+        ),
         # "a" and "b" each in two different roots, and once more in one tree
-        ((_n("R", "a", _n("C", "b a")), _n("S", "b", _n("D", "a"))), [2, 2, 2, 1]),
+        ((tree("R", "a", tree("C", "b a")), tree("S", "b", tree("D", "a"))), [2, 2, 2, 1]),
         # "a" on three levels of one path, next to a word of its own
-        ((_n("G", "a", _n("P", "a", _n("C", "a c"))),), [2, 2, 2]),
+        ((tree("G", "a", tree("P", "a", tree("C", "a c"))),), [2, 2, 2]),
     ],
     ids=["parent-and-child", "siblings", "cousins", "two-roots", "one-path"],
 )
@@ -320,6 +320,39 @@ def test_flatten_counts_a_word_of_several_nodes_once(roots, inherited_sizes, mod
     _assert_flatten_matches_eager(h, mode)
     if mode == INHERIT:
         assert [c.size for c in flatten(h, mode)] == inherited_sizes
+
+
+def _seen_set_repeated_words(root: HierarchyNode) -> set[str]:
+    """The earlier walk, which always built a seen set of the tree's words:
+    the oracle for model._repeated_words."""
+    seen: set[str] = set()
+    repeated: set[str] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        repeated.update(seen.intersection(node.own_members))
+        seen.update(node.own_members)
+        stack.extend(node.children)
+    return repeated
+
+
+@pytest.mark.parametrize("overlap", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_repeated_words_matches_seen_set_walk(seed, overlap):
+    spec = GenSpec(
+        seed=seed,
+        vocab_size=100,  # never runs dry, so overlap 0 repeats no word
+        n_classes=1 + seed % 3,
+        class_size=(1, 4),
+        overlap_rate=overlap,
+        hierarchy_depth=3,
+    )
+    h = gen_hierarchy(spec)
+    found = [model._repeated_words(root) for root in h.roots]
+    assert found == [_seen_set_repeated_words(root) for root in h.roots]
+    assert any(found) == (overlap > 0)
+    for mode in FLATTEN_MODES:
+        _assert_flatten_matches_eager(h, mode)
 
 
 def test_scoring_builds_no_inherited_word_set():
