@@ -1,9 +1,10 @@
 """Fold mapped pairs and unmapped classes into one overall score.
 
-A single contingency table accumulates the per-pair counts of every
-mapped (system class, expert column) pair, read from the pair's F and the
-two class sizes; every member of an unmapped system class then lands in
-YES-NO, and every member of an unmapped expert column lands in NO-YES.
+Each mapped (system class, expert column) pair's counts are read from the
+pair's F and the two class sizes. The overall YES-YES is the sum of the
+pairs' YES-YES. Every system word incidence that no pair counts as YES-YES
+is YES-NO, whether its class is mapped or not. NO-YES is the pairs' NO-YES
+plus every member of each counted unmapped expert column.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ def aggregate(
     """
     if policy not in UNMAPPED_POLICIES:
         raise ValueError(f"unknown unmapped-column policy {policy!r}")
+    counted = {TOP_LEVEL: columns.is_top_level, LEAVES: columns.is_leaf}.get(policy)
     rows = sorted([row for row, _, _ in mapping.pairs] + list(mapping.unmapped_rows))
     cols = sorted([col for _, col, _ in mapping.pairs] + list(mapping.unmapped_cols))
     if rows != list(range(len(system.classes))) or cols != list(range(len(columns))):
         raise ValueError("mapping does not match this system clustering and column list")
 
-    yy = yn = ny = 0
     per_pair: list[PairOutcome] = []
     for row, col, f in mapping.pairs:
         cls = system.classes[row]
@@ -76,31 +77,26 @@ def aggregate(
             raise ValueError("mapping does not match this system clustering and column list")
         table = ContingencyTable(shared, len(cls) - shared, column.size - shared)
         per_pair.append(PairOutcome(cls.label, column.path, table, scores(table)))
-        yy += table.yy
-        yn += table.yn
-        ny += table.ny
 
     unmapped_system = tuple(
         (system.classes[row].label, len(system.classes[row])) for row in mapping.unmapped_rows
     )
-    yn += sum(size for _, size in unmapped_system)
-
-    counted: list[tuple[tuple[str, ...], int]] = []
-    for col in mapping.unmapped_cols:
-        if policy == TOP_LEVEL and not columns.is_top_level(col):
-            continue
-        if policy == LEAVES and not columns.is_leaf(col):
-            continue
-        counted.append((columns[col].path, columns[col].size))
-    ny += sum(size for _, size in counted)
-
-    overall = ContingencyTable(yy, yn, ny)
+    unmapped_expert = tuple(
+        (columns.columns[col].path, columns.columns[col].size)
+        for col in mapping.unmapped_cols
+        if counted is None or counted(col)
+    )
+    # The check above puts each system class in exactly one pair or in the
+    # unmapped rows, so every incidence not counted as yy is yn.
+    yy = sum(pair.table.yy for pair in per_pair)
+    ny = sum(pair.table.ny for pair in per_pair) + sum(size for _, size in unmapped_expert)
+    overall = ContingencyTable(yy, system.total_incidences() - yy, ny)
     return EvaluationReport(
         overall=overall,
         overall_scores=scores(overall),
         per_pair=tuple(per_pair),
         unmapped_system=unmapped_system,
-        unmapped_expert=tuple(counted),
+        unmapped_expert=unmapped_expert,
         threshold=mapping.threshold,
         flatten_mode=columns.mode,
         unmapped_policy=policy,

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, aggregate
 from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, build_f_table, resolve_conflicts
-from .metrics import pair_baseline
+from .metrics import ContingencyTable, Scores, pair_baseline
 from .model import (
     FLATTEN_MODES,
     INHERIT,
@@ -63,6 +63,25 @@ def _path_str(path: tuple[str, ...]) -> str:
     return "/".join(path)
 
 
+def _counts_text(t: ContingencyTable) -> str:
+    return f"yy={t.yy} yn={t.yn} ny={t.ny}"
+
+
+def _scores_text(s: Scores) -> str:
+    return f"precision={_pct(s.precision)} recall={_pct(s.recall)} f-measure={_f2(s.f_measure)}"
+
+
+def _counts_doc(t: ContingencyTable, s: Scores) -> dict:
+    return {
+        "yy": t.yy,
+        "yn": t.yn,
+        "ny": t.ny,
+        "precision": s.precision,
+        "recall": s.recall,
+        "f_measure": s.f_measure,
+    }
+
+
 def render_evaluation_text(system_path: str, expert_path: str, report: EvaluationReport) -> str:
     lines = [f"evaluation: {system_path} vs {expert_path}"]
     lines.append(
@@ -71,10 +90,9 @@ def render_evaluation_text(system_path: str, expert_path: str, report: Evaluatio
     )
     lines.append(f"mapped pairs ({len(report.per_pair)}):")
     for pair in report.per_pair:
-        t, s = pair.table, pair.scores
+        s = pair.scores
         lines.append(
-            f"  {pair.system_label} -> {_path_str(pair.expert_path)}"
-            f"  yy={t.yy} yn={t.yn} ny={t.ny}"
+            f"  {pair.system_label} -> {_path_str(pair.expert_path)}  {_counts_text(pair.table)}"
             f"  P={_pct(s.precision)} R={_pct(s.recall)} F={_f2(s.f_measure)}"
         )
     if report.unmapped_system:
@@ -83,11 +101,8 @@ def render_evaluation_text(system_path: str, expert_path: str, report: Evaluatio
     if report.unmapped_expert:
         listed = ", ".join(f"{_path_str(path)}({size})" for path, size in report.unmapped_expert)
         lines.append(f"unmapped expert columns: {listed}")
-    o, s = report.overall, report.overall_scores
-    lines.append(f"overall: yy={o.yy} yn={o.yn} ny={o.ny}")
-    lines.append(
-        f"precision={_pct(s.precision)} recall={_pct(s.recall)} f-measure={_f2(s.f_measure)}"
-    )
+    lines.append(f"overall: {_counts_text(report.overall)}")
+    lines.append(_scores_text(report.overall_scores))
     return "\n".join(lines) + "\n"
 
 
@@ -168,7 +183,6 @@ def evaluation_to_dict(
     mapping: MappingResult,
     include_trace: bool,
 ) -> dict:
-    o, s = report.overall, report.overall_scores
     doc = {
         "expert": expert_path,
         "config": {
@@ -176,24 +190,12 @@ def evaluation_to_dict(
             "flatten_mode": report.flatten_mode,
             "unmapped_columns_policy": report.unmapped_policy,
         },
-        "overall": {
-            "yy": o.yy,
-            "yn": o.yn,
-            "ny": o.ny,
-            "precision": s.precision,
-            "recall": s.recall,
-            "f_measure": s.f_measure,
-        },
+        "overall": _counts_doc(report.overall, report.overall_scores),
         "pairs": [
             {
                 "system_class": pair.system_label,
                 "expert_column": _path_str(pair.expert_path),
-                "yy": pair.table.yy,
-                "yn": pair.table.yn,
-                "ny": pair.table.ny,
-                "precision": pair.scores.precision,
-                "recall": pair.scores.recall,
-                "f_measure": pair.scores.f_measure,
+                **_counts_doc(pair.table, pair.scores),
             }
             for pair in report.per_pair
         ],
@@ -236,15 +238,20 @@ def table_to_dict(
     return doc
 
 
-def _experts(args: argparse.Namespace) -> Iterator[tuple[Clustering, str, ColumnList, FTable]]:
-    """Yield (system, expert path, columns, F-table) per expert, in argument
-    order. Every input file is parsed before the first item is yielded, so a
-    malformed later expert fails the command before any work is done."""
+def _experts(
+    args: argparse.Namespace, thresholds: Sequence[float]
+) -> Iterator[tuple[Clustering, str, ColumnList, FTable, MappingResult]]:
+    """Yield (system, expert path, columns, F-table, mapping) per expert, in
+    argument order, and per threshold, in the given order. Every input file
+    is parsed before the first item is yielded, so a malformed later expert
+    fails the command before any work is done."""
     system = _load(args.system, parse_clustering)
     experts = [(path, _load(path, parse_hierarchy)) for path in args.expert]
     for expert_path, hierarchy in experts:
         columns = flatten(hierarchy, args.flatten)
-        yield system, expert_path, columns, build_f_table(system, columns)
+        table = build_f_table(system, columns)
+        for threshold in thresholds:
+            yield system, expert_path, columns, table, resolve_conflicts(table, threshold)
 
 
 def _write_report(args: argparse.Namespace, items: list, summary: Sequence = ()) -> int:
@@ -263,8 +270,7 @@ def _write_report(args: argparse.Namespace, items: list, summary: Sequence = ())
 def cmd_evaluate(args: argparse.Namespace) -> int:
     items: list = []
     summary: list[tuple[str, EvaluationReport]] = []
-    for system, expert_path, columns, table in _experts(args):
-        mapping = resolve_conflicts(table, args.threshold)
+    for system, expert_path, columns, table, mapping in _experts(args, [args.threshold]):
         report = aggregate(system, columns, mapping, args.unmapped_cols)
         summary.append((expert_path, report))
         if args.format == "json":
@@ -277,8 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     items: list = []
-    for _system, expert_path, _columns, table in _experts(args):
-        mapping = resolve_conflicts(table, args.threshold)
+    for _system, expert_path, _columns, table, mapping in _experts(args, [args.threshold]):
         if args.format == "json":
             items.append(table_to_dict(expert_path, table, mapping, args.trace))
         else:
@@ -291,13 +296,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = io.StringIO()
     out.write(SWEEP_HEADER + "\n")
     rows = csv.writer(out, lineterminator="\n")
-    for system, expert_path, columns, table in _experts(args):
-        for threshold in args.thresholds:
-            mapping = resolve_conflicts(table, threshold)
-            s = aggregate(system, columns, mapping, args.unmapped_cols).overall_scores
-            rows.writerow(
-                [expert_path, threshold, len(mapping.pairs), s.precision, s.recall, s.f_measure]
-            )
+    for system, expert_path, columns, _table, mapping in _experts(args, args.thresholds):
+        s = aggregate(system, columns, mapping, args.unmapped_cols).overall_scores
+        rows.writerow(
+            [expert_path, mapping.threshold, len(mapping.pairs), s.precision, s.recall, s.f_measure]
+        )
     sys.stdout.write(out.getvalue())
     return 0
 
@@ -309,10 +312,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
     lines = [f"pair baseline: {args.system} vs {args.expert}"]
     lines.append(f"system pairs={table.yy + table.yn} expert pairs={table.yy + table.ny}")
-    lines.append(f"contingency: yy={table.yy} yn={table.yn} ny={table.ny}")
-    lines.append(
-        f"precision={_pct(s.precision)} recall={_pct(s.recall)} f-measure={_f2(s.f_measure)}"
-    )
+    lines.append(f"contingency: {_counts_text(table)}")
+    lines.append(_scores_text(s))
     for path, clustering in ((args.system, system), (args.expert, expert)):
         if not clustering.is_partition():
             lines.append(
@@ -339,7 +340,8 @@ def _threshold_list_arg(raw: str) -> list[float]:
     return [_threshold_arg(part.strip()) for part in items]
 
 
-def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_io_arguments(parser: argparse.ArgumentParser, reports: bool) -> None:
+    """The input flags; with ``reports``, also the unmapped-column policy."""
     parser.add_argument("--system", required=True, metavar="PATH", help="system clustering file")
     parser.add_argument(
         "--expert",
@@ -351,13 +353,14 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--flatten", choices=FLATTEN_MODES, default=INHERIT, help="hierarchy flattening mode"
     )
-    parser.add_argument(
-        "--unmapped-cols",
-        dest="unmapped_cols",
-        choices=UNMAPPED_POLICIES,
-        default=ALL_COLUMNS,
-        help="which unmapped expert columns count toward NO-YES",
-    )
+    if reports:
+        parser.add_argument(
+            "--unmapped-cols",
+            dest="unmapped_cols",
+            choices=UNMAPPED_POLICIES,
+            default=ALL_COLUMNS,
+            help="which unmapped expert columns count toward NO-YES",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("table", cmd_table, "dump the F-measure table and resolved mapping"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_io_arguments(p)
+        _add_io_arguments(p, reports=name == "evaluate")
         p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--trace", action="store_true", help="include re-map events")
         p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="CSV of scores across thresholds")
-    _add_io_arguments(p)
+    _add_io_arguments(p, reports=True)
     p.add_argument(
         "--thresholds",
         type=_threshold_list_arg,

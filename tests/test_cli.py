@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from clustereval import model
+from clustereval import cli, model
 from clustereval.cli import main
 
 from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, clustering_doc, hierarchy_doc, node
@@ -25,6 +25,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """Exit code, stdout and stderr of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def test_evaluate_golden_pair(capsys, golden_files):
@@ -62,9 +70,25 @@ def test_evaluate_malformed_document(capsys, tmp_path, golden_files):
 
 def test_evaluate_bad_threshold_flag(capsys, golden_files):
     system, expert = golden_files
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--system", system, "--expert", expert, "--threshold", "1.5"])
-    assert exc.value.code == 2
+    for raw, reason in (("1.5", "threshold must be in [0, 1], got 1.5"), ("abc", "not a number")):
+        code, out, err = usage_error(
+            capsys, "evaluate", "--system", system, "--expert", expert, "--threshold", raw
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: clustereval evaluate")
+        assert f"error: argument --threshold: {reason}" in err
+
+
+def test_table_takes_no_unmapped_column_policy(capsys, golden_files):
+    # the policy only shapes evaluation reports, which table does not build
+    system, expert = golden_files
+    argv = ["--system", system, "--expert", expert, "--unmapped-cols", "leaves"]
+    code, out, err = usage_error(capsys, "table", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: clustereval")
+    assert "unrecognized arguments: --unmapped-cols leaves" in err
+    for command in (["evaluate"], ["sweep", "--thresholds", "0.2"]):
+        assert run(capsys, *command, *argv)[0] == 0
 
 
 def test_evaluate_json_carries_full_precision(capsys, golden_files):
@@ -443,16 +467,80 @@ def test_baseline_rejects_hierarchy_expert(capsys, tmp_path, golden_files):
     assert "children" in err
 
 
-def test_deeply_nested_hierarchy_is_an_input_error(capsys, tmp_path, golden_files):
+@pytest.mark.parametrize(
+    "depth, exit_code", [(450, 0), (600, 2), (3000, 2)], ids=["450", "600", "3000"]
+)
+def test_deeply_nested_hierarchy(capsys, tmp_path, golden_files, depth, exit_code):
+    # Too deep a document fails in the JSON decoder or in the parser's own
+    # recursion, whichever runs out of stack first on this Python version.
     system, _ = golden_files
-    depth = 3000
     nodes = "".join(f'{{"label": "n{i}", "members": ["w{i}"], "children": [' for i in range(depth))
     expert = tmp_path / "deep.json"
     expert.write_text('{"classes": [' + nodes + "]}" * depth + "]}", encoding="utf-8")
     code, out, err = run(capsys, "evaluate", "--system", system, "--expert", str(expert))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {expert}: $")
+    assert code == exit_code
+    if exit_code:
+        assert out == ""
+        assert err.startswith(f"error: {expert}: $: ")
+        assert err.endswith(" is nested too deeply\n")
+    else:
+        assert out.startswith("evaluation: ")
+        assert err == ""
+
+
+@pytest.mark.parametrize(
+    "side, document, location, reason",
+    [
+        (
+            "system",
+            '{"classes": [{"label": "A", "members": "cat"}]}',
+            "$.classes[0].members",
+            "members must be an array of strings",
+        ),
+        (
+            "system",
+            '{"name": 7, "classes": [{"label": "A", "members": ["cat"]}]}',
+            "$.name",
+            "name must be a string",
+        ),
+        ("system", '{"classes": ["A"]}', "$.classes[0]", "class must be an object"),
+        (
+            "expert",
+            '{"classes": [{"label": "A", "children": [7]}]}',
+            "$.classes[0].children[0]",
+            "node must be an object",
+        ),
+        (
+            "expert",
+            '{"classes": [{"label": "A", "members": ["cat"], "children": {}}]}',
+            "$.classes[0].children",
+            "children must be an array",
+        ),
+    ],
+    ids=["members", "name", "class", "node", "children"],
+)
+def test_invalid_document_is_an_input_error_at_its_path(
+    capsys, tmp_path, golden_files, side, document, location, reason
+):
+    system, expert = golden_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(document, encoding="utf-8")
+    if side == "system":
+        system = str(bad)
+    else:
+        expert = str(bad)
+    code, out, err = run(capsys, "evaluate", "--system", system, "--expert", expert)
+    assert (code, out, err) == (2, "", f"error: {bad}: {location}: {reason}\n")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, golden_files):
+    def fail(*_):
+        raise RuntimeError("planted fault")
+
+    system, expert = golden_files
+    monkeypatch.setattr(cli, "build_f_table", fail)
+    code, out, err = run(capsys, "evaluate", "--system", system, "--expert", expert)
+    assert (code, out, err) == (1, "", "internal error: planted fault\n")
 
 
 @pytest.mark.parametrize("side", ["system", "expert", "baseline"])

@@ -69,6 +69,15 @@ def test_build_f_table_disjoint_row_is_zero():
     assert table.cells[0] == (0.0, 0.0)
 
 
+def test_build_f_table_rejects_an_empty_side():
+    system = make_clustering(("A", ["x"]))
+    columns = flatten(as_flat_hierarchy(system), INHERIT)
+    with pytest.raises(ValueError, match="at least one system class"):
+        build_f_table(make_clustering(), columns)
+    with pytest.raises(ValueError, match="at least one system class"):
+        build_f_table(system, flatten(ExpertHierarchy("empty", ()), INHERIT))
+
+
 def test_cell_that_reaches_the_threshold_exactly_is_mapped():
     # one word against a nine-word column that holds it: F = 2/10, exactly 0.2
     system = make_clustering(("S", ["x"]))
@@ -445,7 +454,7 @@ def test_resolve_conflicts_matches_banned_set_oracle(seed):
 @pytest.mark.xfail(
     strict=True,
     reason="re-map losses are float differences of two cells; exact losses need the "
-    "integer counts of ROADMAP item 2",
+    "integer counts of ROADMAP item 3",
 )
 def test_equal_exact_losses_remap_the_smaller_row():
     # F(R0, X) = 2/10 and F(R1, X) - F(R1, Y) = 6/20 - 2/20: both losses are

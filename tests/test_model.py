@@ -173,6 +173,12 @@ def test_hierarchy_internal_node_may_have_no_own_members():
     assert h.roots[0].own_members == ()
 
 
+def test_hierarchy_node_with_children_may_omit_members():
+    doc = '{"classes": [{"label": "TOP", "children": [{"label": "LEAF", "members": ["cat"]}]}]}'
+    leaf = HierarchyNode("LEAF", ("cat",))
+    assert parse_hierarchy(doc).roots == (HierarchyNode("TOP", (), (leaf,)),)
+
+
 def test_flatten_inherit_unions_descendants():
     h = ExpertHierarchy(
         "e", (HierarchyNode("ANIMAL", ("cat",), (HierarchyNode("PET", ("dog",)),)),)
