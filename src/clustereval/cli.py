@@ -143,9 +143,12 @@ def render_table_text(
         f" ({table.n_rows} rows x {table.n_cols} cols, threshold={mapping.threshold:g})"
     ]
     lines.append(" " * row_width + "  " + "  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-    for r, label in enumerate(table.row_labels):
-        cells = "  ".join(_cell(table.cells[r][c]).rjust(w) for c, w in enumerate(widths))
-        lines.append(f"{label:<{row_width}}  {cells}")
+    zeros = [_cell(0.0).rjust(w) for w in widths]  # each column's zero cell, padded once
+    for label, ranked in zip(table.row_labels, table.rows):
+        cells = zeros.copy()
+        for c, f in ranked:
+            cells[c] = _cell(f).rjust(widths[c])
+        lines.append(f"{label:<{row_width}}  {'  '.join(cells)}")
     remapped = {event.row for event in mapping.trace}
     lines.append("mapping:")
     if not mapping.pairs:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
+from typing import NamedTuple
 
 from .metrics import f_measure
 from .model import Clustering, ColumnList
@@ -24,11 +25,16 @@ BRUTE_FORCE_LIMIT = 8
 @dataclass(frozen=True)
 class FTable:
     """Pairwise F-measures: one row per system class, one column per
-    flattened expert class or subclass."""
+    flattened expert class or subclass.
+
+    ``rows[r]`` holds only row r's nonzero cells, as ``(column, F)`` pairs
+    ranked best F first, equal F toward the smaller column index; every
+    other cell of the row is 0.0.
+    """
 
     row_labels: tuple[str, ...]
     col_paths: tuple[tuple[str, ...], ...]
-    cells: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple[tuple[int, float], ...], ...]
 
     @property
     def n_rows(self) -> int:
@@ -38,9 +44,19 @@ class FTable:
     def n_cols(self) -> int:
         return len(self.col_paths)
 
+    @property
+    def cells(self) -> tuple[tuple[float, ...], ...]:
+        """The dense table, zeros included, built anew on each access."""
+        dense = []
+        for ranked in self.rows:
+            row = [0.0] * self.n_cols
+            for col, f in ranked:
+                row[col] = f
+            dense.append(tuple(row))
+        return tuple(dense)
 
-@dataclass(frozen=True)
-class RemapEvent:
+
+class RemapEvent(NamedTuple):
     """One conflict resolution step: ``row`` gave up ``from_col`` for
     ``to_col`` (None = dropped out), sacrificing ``loss`` F-measure."""
 
@@ -66,17 +82,23 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
+# The end of every preference list: dropping out, which keeps F 0.0.
+_DROP: tuple[None, float] = (None, 0.0)
+
+
 def _result(
-    table: FTable, current: list[int | None], threshold: float, trace: tuple[RemapEvent, ...] = ()
+    table: FTable,
+    current: list[tuple[int | None, float]],
+    threshold: float,
+    trace: tuple[RemapEvent, ...] = (),
 ) -> MappingResult:
-    """Package a row -> column assignment (None = unmapped) as a MappingResult."""
-    pairs = tuple(
-        (row, col, table.cells[row][col]) for row, col in enumerate(current) if col is not None
-    )
+    """Package each row's (column, F) cell, or ``_DROP`` when the row is
+    unmapped, as a MappingResult."""
+    pairs = tuple((row, col, f) for row, (col, f) in enumerate(current) if col is not None)
     mapped_cols = {col for _, col, _ in pairs}
     return MappingResult(
         pairs=pairs,
-        unmapped_rows=tuple(row for row, col in enumerate(current) if col is None),
+        unmapped_rows=tuple(row for row, (col, _) in enumerate(current) if col is None),
         unmapped_cols=tuple(col for col in range(table.n_cols) if col not in mapped_cols),
         threshold=threshold,
         trace=trace,
@@ -95,10 +117,11 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     belongs to the group of the union of their lineages, so a shared
     ancestor counts it once. Each system class counts its words per group
     and adds each group's count to the group's columns. The build costs one
-    zero-filled row per system class, plus one count per word of the class
-    and one addition per column of each group that the class touches. Every
-    cell equals ``scores(contingency(a, b)).f_measure`` for the class and
-    column word sets; pairs that share no word score 0.0.
+    count per word of the class, one addition per column of each group that
+    the class touches, and one sort of the class's nonzero cells; no row
+    holds a cell for a column it shares no word with. Every cell equals
+    ``scores(contingency(a, b)).f_measure`` for the class and column word
+    sets; pairs that share no word score 0.0 and are not stored.
     """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
@@ -127,7 +150,6 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     spans.update((gid, tuple(cols)) for cols, gid in ids.items())
     rows = []
     for cls in system.classes:
-        row = [0.0] * n
         overlaps = Counter(map(group.get, cls.members))
         overlaps.pop(None, None)  # the words that no column holds
         # Take every wider group's count out before adding any: a column
@@ -136,22 +158,34 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
         for cols, k in wide:
             for col in cols:
                 overlaps[col] = overlaps.get(col, 0) + k
-        for col, yy in overlaps.items():
-            row[col] = f_measure(yy, len(cls), sizes[col])
-        rows.append(tuple(row))  # freeze each row so the table is never held twice
+        # Rank by column, then stably by F, best first: equal F keeps the
+        # smaller column first, whatever the group ids were.
+        size = len(cls)
+        ranked = [(col, f_measure(yy, size, sizes[col])) for col, yy in sorted(overlaps.items())]
+        ranked.sort(key=itemgetter(1), reverse=True)
+        rows.append(tuple(ranked))
     return FTable(system.labels(), tuple(col.path for col in columns), tuple(rows))
 
 
-def _preferences(table: FTable, threshold: float) -> list[list[int | None]]:
-    """Per row, the columns at or above the threshold, best F first, then a
-    None sentinel that stands for dropping out. The reverse sort is stable,
-    so equal cells keep the smaller column index first."""
+def _preferences(table: FTable, threshold: float) -> list[list[tuple[int | None, float]]]:
+    """Per row, its ranked (column, F) cells at or above the threshold, then
+    ``_DROP``. Each row is already ranked, so this is a prefix of it. At
+    threshold 0 every cell is eligible: the row's zero-F columns follow its
+    nonzero cells, smaller column first."""
     _check_threshold(threshold)
-    return [
-        sorted((c for c, f in enumerate(row) if f >= threshold), key=row.__getitem__, reverse=True)
-        + [None]
-        for row in table.cells
-    ]
+    # one zero-F cell per column, shared by every row that lacks that column
+    zero_cells = [(col, 0.0) for col in range(table.n_cols)] if threshold == 0.0 else []
+    prefs = []
+    for ranked in table.rows:
+        eligible = [cell for cell in ranked if cell[1] >= threshold]
+        if zero_cells:
+            zeros = zero_cells.copy()
+            for col in sorted((col for col, _ in ranked), reverse=True):
+                del zeros[col]
+            eligible += zeros
+        eligible.append(_DROP)
+        prefs.append(eligible)
+    return prefs
 
 
 def initial_potentials(
@@ -159,7 +193,7 @@ def initial_potentials(
 ) -> tuple[int | None, ...]:
     """Per row, the best-F column at or above the threshold (ties go to
     the smaller column index); None when no column qualifies."""
-    return tuple(ranked[0] for ranked in _preferences(table, threshold))
+    return tuple(ranked[0][0] for ranked in _preferences(table, threshold))
 
 
 def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> MappingResult:
@@ -173,26 +207,31 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
     index) and look for conflicts again. A row only ever steps down its
     list, so a column it gave up stays off limits and the loop ends.
 
-    Each call sorts every row's eligible columns once. The claimant rows
-    of each column and a heap of candidate re-maps are then kept up to
-    date: a re-map changes only the column a row leaves and the column it
-    reaches, so it costs O(log n) heap work for n candidates pushed.
+    Each row was ranked once, when the table was built, and a call only
+    cuts each ranked row at the threshold, so a re-map reads the F it gives
+    up and the F it steps down to by position. The claimant rows of each
+    column and a heap of candidate re-maps are then kept up to date: a
+    re-map changes only the column a row leaves and the column it reaches,
+    so it costs O(log n) heap work for n candidates pushed.
     """
     prefs = _preferences(table, threshold)
-    cells = table.cells
     rank = [0] * table.n_rows
     claimants: dict[int, set[int]] = {}
     for row, ranked in enumerate(prefs):
-        if ranked[0] is not None:
-            claimants.setdefault(ranked[0], set()).add(row)
+        col = ranked[0][0]
+        if col is not None:
+            claimants.setdefault(col, set()).add(row)
 
-    def candidate(row: int, col: int) -> tuple[float, int, int, int | None]:
-        alt = prefs[row][rank[row] + 1]
-        here = cells[row][col]
-        return (here if alt is None else here - cells[row][alt], row, col, alt)
+    def candidate(row: int) -> tuple[float, int, int, int | None]:
+        """The row's step down from its current cell; ``_DROP``'s F of 0.0
+        makes dropping out lose the whole current F."""
+        ranked, k = prefs[row], rank[row]
+        col, here = ranked[k]
+        alt, there = ranked[k + 1]
+        return (here - there, row, col, alt)
 
     # A (row, col) pair fixes its alternative, so heap order is (loss, row, col).
-    heap = [candidate(row, col) for col, rows in claimants.items() if len(rows) > 1 for row in rows]
+    heap = [candidate(row) for rows in claimants.values() if len(rows) > 1 for row in rows]
     heapify(heap)
     trace: list[RemapEvent] = []
     while heap:
@@ -211,7 +250,7 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
             # A column that just reached two claimants opens a conflict for
             # both; one already in conflict only gains the arriving row.
             for claimant in rows if len(rows) == 2 else (row,):
-                heappush(heap, candidate(claimant, alt))
+                heappush(heap, candidate(claimant))
 
     return _result(table, [ranked[r] for ranked, r in zip(prefs, rank)], threshold, tuple(trace))
 
@@ -235,20 +274,23 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
             f"{BRUTE_FORCE_LIMIT}x{BRUTE_FORCE_LIMIT}"
         )
 
+    cells = table.cells
+
     @cache
-    def best(r: int, used: int) -> tuple[float, tuple[int | None, ...]]:
+    def best(r: int, used: int) -> tuple[float, tuple[tuple[int | None, float], ...]]:
         """Max total F over rows r.. with the columns in ``used`` taken, and
-        the first choices that reach it: free columns ascending, then unmapped."""
+        the first (column, F) choices that reach it: free columns ascending,
+        then unmapped."""
         if r == n:
             return 0.0, ()
         options = []
-        for c, f in enumerate(table.cells[r]):
+        for c, f in enumerate(cells[r]):
             bit = 1 << c
             if not used & bit and f >= threshold:
                 total, rest = best(r + 1, used | bit)
-                options.append((f + total, (c, *rest)))
+                options.append((f + total, ((c, f), *rest)))
         total, rest = best(r + 1, used)
-        options.append((total, (None, *rest)))
+        options.append((total, (_DROP, *rest)))
         return max(options, key=itemgetter(0))  # the first maximal option
 
     return _result(table, list(best(0, 0)[1]), threshold)

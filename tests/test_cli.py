@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import pytest
 
 from clustereval import cli, model
 from clustereval.cli import main
+from clustereval.mapping import FTable, resolve_conflicts
 
 from conftest import CLASS_A_MEMBERS, CLASS_B_MEMBERS, clustering_doc, hierarchy_doc, node
 
@@ -332,6 +334,38 @@ def test_table_json_format_with_trace(capsys, conflict_files):
             "loss": doc["cells"][1][0] - doc["cells"][1][1],
         }
     ]
+
+
+def _per_cell_table_body(table):
+    """The table's body lines with every cell, zeros included, formatted on
+    its own: the oracle for render_table_text, which formats each column's
+    zero cell once."""
+    widths = [max(len("/".join(path)), 6) for path in table.col_paths]
+    row_width = max(map(len, table.row_labels))
+    return [
+        f"{label:<{row_width}}  " + "  ".join(f"{f:.4f}".rjust(w) for f, w in zip(row, widths))
+        for label, row in zip(table.row_labels, table.cells)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_table_text_body_matches_per_cell_rendering(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 12)
+    # F values that print as 0.0000 or 1.0000 next to ordinary ones
+    values = (0.00004, 0.00005, 0.25, 1 / 3, 0.99996, 1.0, rng.random())
+    rows = []
+    for _ in range(n_rows):
+        cells = {c: rng.choice(values) for c in rng.sample(range(n_cols), rng.randint(0, n_cols))}
+        rows.append(tuple(sorted(cells.items(), key=lambda cell: (-cell[1], cell[0]))))
+    table = FTable(
+        tuple("R" * rng.randint(1, 10) + str(i) for i in range(n_rows)),
+        tuple(("C" * rng.randint(1, 10), str(j))[: rng.randint(1, 2)] for j in range(n_cols)),
+        tuple(rows),
+    )
+    lines = cli.render_table_text("s", "e", table, resolve_conflicts(table, 0.2)).splitlines()
+    assert lines[2 : 2 + n_rows] == _per_cell_table_body(table)
+    assert lines[2 + n_rows] == "mapping:"
 
 
 def test_evaluate_json_trace_records_drop_outs(capsys, tmp_path):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import ast
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +17,7 @@ from clustereval.mapping import (
     FTable,
     MappingResult,
     RemapEvent,
+    _preferences,
     brute_force_mapping,
     build_f_table,
     initial_potentials,
@@ -40,10 +46,18 @@ from conftest import (
 from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 
+def _ranked(row) -> tuple[tuple[int, float], ...]:
+    """A dense row's nonzero (column, F) cells, F descending, then column
+    ascending: the oracle for one of FTable.rows."""
+    nonzero = ((c, f) for c, f in enumerate(row) if f)
+    return tuple(sorted(nonzero, key=lambda cell: (-cell[1], cell[0])))
+
+
 def table_of(cells) -> FTable:
+    """A table of the given dense floats, each row ranked as build_f_table ranks it."""
     rows = tuple(f"R{i}" for i in range(len(cells)))
     cols = tuple((f"K{j}",) for j in range(len(cells[0])))
-    return FTable(rows, cols, tuple(tuple(row) for row in cells))
+    return FTable(rows, cols, tuple(map(_ranked, cells)))
 
 
 def test_build_f_table_golden_single_pair():
@@ -152,7 +166,9 @@ def test_build_f_table_matches_dense_oracle(seed):
         table = build_f_table(system, columns)
         assert table.row_labels == system.labels()
         assert table.col_paths == tuple(col.path for col in columns)
-        assert table.cells == _dense_f_table(system, columns)
+        dense = _dense_f_table(system, columns)
+        assert table.cells == dense
+        assert table.rows == tuple(map(_ranked, dense))
         assert table.cells[-2][1] > 0.0  # SHARED, so no case is all zeros
         assert table.cells[-1] == (0.0,) * len(columns)  # ROW
         assert all(row[-1] == 0.0 for row in table.cells)  # COL
@@ -217,9 +233,11 @@ _PREFIX = [f"u{i}" for i in range(9)]
 def test_build_f_table_counts_word_groups(rows, roots, mode):
     system = Clustering("s", tuple(LabeledClass(f"S{i}", tuple(r)) for i, r in enumerate(rows)))
     columns = flatten(ExpertHierarchy("e", tuple(roots)), mode)
-    cells = build_f_table(system, columns).cells
-    assert cells == _dense_f_table(system, columns)
-    assert any(map(any, cells))
+    table = build_f_table(system, columns)
+    dense = _dense_f_table(system, columns)
+    assert table.cells == dense
+    assert table.rows == tuple(map(_ranked, dense))
+    assert any(map(any, dense))
 
 
 _TINY_WORDS = ("a", "b", "c", "d", "e", "f")
@@ -253,7 +271,74 @@ def test_build_f_table_matches_dense_oracle_on_tiny_vocabularies(instance):
     system, expert = instance
     for mode in FLATTEN_MODES:
         columns = flatten(expert, mode)
-        assert build_f_table(system, columns).cells == _dense_f_table(system, columns)
+        table = build_f_table(system, columns)
+        dense = _dense_f_table(system, columns)
+        assert table.cells == dense
+        assert table.rows == tuple(map(_ranked, dense))
+
+
+# Twelve rows and 21 columns over twelve words, three words a node: most
+# words have several owners, so the word groups are many and their ids
+# follow the hash seed, and equal F within a row is common.
+_HASH_SEED_TABLE = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+from clustereval.mapping import build_f_table
+from clustereval.model import FLATTEN_MODES, Clustering, ExpertHierarchy, HierarchyNode
+from clustereval.model import LabeledClass, flatten
+rng = random.Random(7)
+words = [f"w{i}" for i in range(12)]
+def node(label, depth):
+    children = tuple(node(f"{label}.{i}", depth + 1) for i in range(2 if depth < 3 else 0))
+    return HierarchyNode(label, tuple(rng.sample(words, 3)), children)
+expert = ExpertHierarchy("e", tuple(node(f"N{i}", 1) for i in range(3)))
+rows = tuple(LabeledClass(f"S{i}", tuple(rng.sample(words, 3))) for i in range(12))
+for mode in FLATTEN_MODES:
+    print(build_f_table(Clustering("s", rows), flatten(expert, mode)).rows)
+"""
+
+
+def test_ranked_rows_do_not_follow_the_hash_seed():
+    src = str(Path(build_f_table.__code__.co_filename).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_TABLE, src],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    tables = outputs[0].splitlines()
+    assert len(tables) == len(FLATTEN_MODES)
+    for rows in map(ast.literal_eval, tables):
+        assert any(len({f for _, f in row}) < len(row) for row in rows)  # ties within a row
+
+
+def _dense_preferences(cells, threshold):
+    """Per dense row, a stable reverse sort by F of the columns at or above
+    the threshold, then None: the oracle for _preferences."""
+    return [
+        sorted((c for c, f in enumerate(row) if f >= threshold), key=row.__getitem__, reverse=True)
+        + [None]
+        for row in cells
+    ]
+
+
+@pytest.mark.parametrize("seed", range(230))
+def test_preferences_match_dense_stable_sort(seed):
+    table = _oracle_table(seed)
+    cells = table.cells
+    rng = random.Random(seed)
+    exact = sorted({f for row in cells for f in row})
+    for threshold in (0.0, 1.0, rng.random(), rng.random(), *exact):
+        prefs = _preferences(table, threshold)
+        assert [[c for c, _ in ranked] for ranked in prefs] == _dense_preferences(cells, threshold)
+        for row, ranked in zip(cells, prefs):
+            assert ranked[-1] == (None, 0.0)
+            assert all(f == row[c] for c, f in ranked[:-1])
 
 
 def test_threshold_zero_maps_a_zero_overlap_row_to_the_first_free_column():

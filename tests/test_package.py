@@ -63,6 +63,7 @@ SUBMODULE_PUBLIC = {
         "BRUTE_FORCE_LIMIT",
         "DEFAULT_THRESHOLD",
         "FTable",
+        "FTable.cells",
         "FTable.n_cols",
         "FTable.n_rows",
         "MappingResult",
