@@ -168,24 +168,15 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
 
 
 def _preferences(table: FTable, threshold: float) -> list[list[tuple[int | None, float]]]:
-    """Per row, its ranked (column, F) cells at or above the threshold, then
-    ``_DROP``. Each row is already ranked, so this is a prefix of it. At
-    threshold 0 every cell is eligible: the row's zero-F columns follow its
-    nonzero cells, smaller column first."""
+    """Per row, its eligible (column, F) cells, best first, then ``_DROP``.
+
+    A cell is eligible when its pair shares a word, which is when the row
+    stores it, and its F reaches the threshold; at threshold 0 too, a pair
+    that shares no word stays ineligible. This is the one statement of the
+    rule. Each row is already ranked, so this is a prefix of it.
+    """
     _check_threshold(threshold)
-    # one zero-F cell per column, shared by every row that lacks that column
-    zero_cells = [(col, 0.0) for col in range(table.n_cols)] if threshold == 0.0 else []
-    prefs = []
-    for ranked in table.rows:
-        eligible = [cell for cell in ranked if cell[1] >= threshold]
-        if zero_cells:
-            zeros = zero_cells.copy()
-            for col in sorted((col for col, _ in ranked), reverse=True):
-                del zeros[col]
-            eligible += zeros
-        eligible.append(_DROP)
-        prefs.append(eligible)
-    return prefs
+    return [[cell for cell in ranked if cell[1] >= threshold] + [_DROP] for ranked in table.rows]
 
 
 def initial_potentials(
@@ -259,22 +250,21 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
     """Exhaustively optimal one-to-one mapping, for cross-checking the
     greedy resolver on small instances.
 
-    Considers every injective partial mapping whose pairs clear the
-    threshold and returns one with maximal total F; equal totals resolve
-    toward assigning earlier rows to smaller column indices, assignment
-    preferred over leaving a row out. Implemented as a memoized search over
-    (row, used columns), which covers the same search space as literal
-    enumeration in at most rows x 2^columns states.
+    Considers every injective partial mapping whose pairs are eligible as
+    ``_preferences`` defines it and returns one with maximal total F; equal
+    totals resolve toward assigning earlier rows to smaller column indices,
+    assignment preferred over leaving a row out. Implemented as a memoized
+    search over (row, used columns), which covers the same search space as
+    literal enumeration in at most rows x 2^columns states.
     """
-    _check_threshold(threshold)
+    # each row's eligible cells, smaller column first; dropping out comes last
+    eligible = [sorted(ranked[:-1]) for ranked in _preferences(table, threshold)]
     n, m = table.n_rows, table.n_cols
     if n > BRUTE_FORCE_LIMIT or m > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"instance too large to enumerate: {n}x{m} exceeds "
             f"{BRUTE_FORCE_LIMIT}x{BRUTE_FORCE_LIMIT}"
         )
-
-    cells = table.cells
 
     @cache
     def best(r: int, used: int) -> tuple[float, tuple[tuple[int | None, float], ...]]:
@@ -284,9 +274,9 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
         if r == n:
             return 0.0, ()
         options = []
-        for c, f in enumerate(cells[r]):
+        for c, f in eligible[r]:
             bit = 1 << c
-            if not used & bit and f >= threshold:
+            if not used & bit:
                 total, rest = best(r + 1, used | bit)
                 options.append((f + total, ((c, f), *rest)))
         total, rest = best(r + 1, used)

@@ -179,9 +179,9 @@ def test_table_disjoint_vocabularies(capsys, tmp_path):
     assert "unmapped cols: X, Y" in out
 
 
-def test_table_threshold_zero_maps_a_zero_overlap_row(capsys, tmp_path):
-    # S2 shares no word with any column; at threshold 0 it still takes the
-    # first column S1 leaves free, with F=0, instead of staying unmapped
+def test_table_threshold_zero_leaves_a_zero_overlap_row_unmapped(capsys, tmp_path):
+    # S2 shares no word with any column, so even at threshold 0 it stays
+    # unmapped while Y and W stay free, and nothing is re-mapped
     system = tmp_path / "s.json"
     expert = tmp_path / "e.json"
     system.write_text(clustering_doc([("S1", ["a", "b"]), ("S2", ["z"])]), encoding="utf-8")
@@ -189,7 +189,15 @@ def test_table_threshold_zero_maps_a_zero_overlap_row(capsys, tmp_path):
         clustering_doc([("X", ["a", "b"]), ("Y", ["c"]), ("W", ["d"])]), encoding="utf-8"
     )
     code, out, _ = run(
-        capsys, "table", "--system", str(system), "--expert", str(expert), "--threshold", "0"
+        capsys,
+        "table",
+        "--system",
+        str(system),
+        "--expert",
+        str(expert),
+        "--threshold",
+        "0",
+        "--trace",
     )
     assert code == 0
     assert out == (
@@ -199,9 +207,39 @@ def test_table_threshold_zero_maps_a_zero_overlap_row(capsys, tmp_path):
         "S2  0.0000  0.0000  0.0000\n"
         "mapping:\n"
         "  S1 -> X  F=1.0000\n"
-        "  S2 -> Y  F=0.0000  (re-mapped)\n"
-        "unmapped cols: W\n"
+        "unmapped rows: S2\n"
+        "unmapped cols: Y, W\n"
+        "trace:\n"
+        "  (no re-maps)\n"
     )
+
+
+def test_evaluate_threshold_zero_prints_as_the_smallest_positive_threshold(capsys, tmp_path):
+    # R1 shares no word with any column. R0 scores 0.4 on both X and Y, and
+    # R2 holds Y with 0.8. Were R1's zero-F cells eligible, R1 would claim X,
+    # R0 would step aside onto Y at no loss and drop out there, and R0's
+    # overlap with X would be lost from the overall counts.
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(
+        clustering_doc([("R0", ["a", "b"]), ("R1", ["z"]), ("R2", ["y1", "y2"])]),
+        encoding="utf-8",
+    )
+    expert.write_text(
+        clustering_doc([("X", ["a", "x1", "x2"]), ("Y", ["b", "y1", "y2"])]), encoding="utf-8"
+    )
+    argv = ["evaluate", "--trace", "--system", str(system), "--expert", str(expert), "--threshold"]
+    code, zero, _ = run(capsys, *argv, "0")
+    assert code == 0
+    code, tiny, _ = run(capsys, *argv, "5e-324")
+    assert code == 0
+    assert "config: threshold=0 " in zero
+    assert [line for line in zero.splitlines() if not line.startswith("config:")] == [
+        line for line in tiny.splitlines() if not line.startswith("config:")
+    ]
+    assert "  R0 -> X " in zero
+    assert "unmapped system classes: R1(1)\noverall: yy=3 yn=2 ny=3\n" in zero
+    assert zero.endswith("trace:\n  (no re-maps)\n")
 
 
 def test_table_maps_a_cell_that_reaches_the_threshold_exactly(capsys, tmp_path):

@@ -318,10 +318,14 @@ def test_ranked_rows_do_not_follow_the_hash_seed():
 
 
 def _dense_preferences(cells, threshold):
-    """Per dense row, a stable reverse sort by F of the columns at or above
-    the threshold, then None: the oracle for _preferences."""
+    """Per dense row, a stable reverse sort by F of the nonzero columns at or
+    above the threshold, then None: the oracle for _preferences."""
     return [
-        sorted((c for c, f in enumerate(row) if f >= threshold), key=row.__getitem__, reverse=True)
+        sorted(
+            (c for c, f in enumerate(row) if f and f >= threshold),
+            key=row.__getitem__,
+            reverse=True,
+        )
         + [None]
         for row in cells
     ]
@@ -341,18 +345,18 @@ def test_preferences_match_dense_stable_sort(seed):
             assert all(f == row[c] for c, f in ranked[:-1])
 
 
-def test_threshold_zero_maps_a_zero_overlap_row_to_the_first_free_column():
-    # At threshold 0 every cell is eligible, F=0 included: S2 shares no word
-    # with any column, yet it takes the first column that S1 leaves free.
+def test_threshold_zero_leaves_a_zero_overlap_row_unmapped():
+    # A pair that shares no word is never eligible, at threshold 0 too: S2
+    # shares no word with any column, so it stays unmapped beside free columns.
     system = make_clustering(("S1", ["a", "b"]), ("S2", ["z"]))
     expert = make_clustering(("X", ["a", "b"]), ("Y", ["c"]), ("W", ["d"]))
     table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
     m = resolve_conflicts(table, 0.0)
-    assert m.pairs == ((0, 0, 1.0), (1, 1, 0.0))
-    assert m.unmapped_rows == ()
-    assert m.unmapped_cols == (2,)
-    assert m.trace == (RemapEvent(1, 0, 1, 0.0),)
-    assert resolve_conflicts(table, 0.2).unmapped_rows == (1,)
+    assert m.pairs == ((0, 0, 1.0),)
+    assert m.unmapped_rows == (1,)
+    assert m.unmapped_cols == (1, 2)
+    assert m.trace == ()
+    assert resolve_conflicts(table, 0.2) == replace(m, threshold=0.2)
 
 
 def test_initial_potentials_single_eligible_cell():
@@ -368,10 +372,10 @@ def test_initial_potentials_tie_goes_to_smaller_index():
 
 
 def test_threshold_out_of_range_rejected():
-    with pytest.raises(ValueError, match="threshold"):
-        initial_potentials(table_of([[0.5]]), 1.5)
-    with pytest.raises(ValueError, match="threshold"):
-        resolve_conflicts(table_of([[0.5]]), -0.1)
+    for solve in (resolve_conflicts, initial_potentials, brute_force_mapping):
+        for threshold in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="threshold must be in"):
+                solve(table_of([[0.5]]), threshold)
 
 
 def test_resolve_two_row_conflict_minimal_loss_remaps():
@@ -419,7 +423,7 @@ def _banned_set_best_column(row, threshold, banned):
     best = None
     best_f = -1.0
     for col, f in enumerate(row):
-        if col in banned or f < threshold:
+        if col in banned or not f or f < threshold:
             continue
         if f > best_f:  # strict: equal cells keep the smaller column index
             best, best_f = col, f
@@ -594,7 +598,7 @@ def _bitmask_dp_oracle(table, threshold):
             top = best[r + 1][mask]  # leave row r unmapped
             for c in range(m):
                 bit = 1 << c
-                if mask & bit or row[c] < threshold:
+                if mask & bit or not row[c] or row[c] < threshold:
                     continue
                 value = row[c] + best[r + 1][mask | bit]
                 if value > top:
@@ -607,7 +611,7 @@ def _bitmask_dp_oracle(table, threshold):
         choice = None
         for c in range(m):
             bit = 1 << c
-            if mask & bit or row[c] < threshold:
+            if mask & bit or not row[c] or row[c] < threshold:
                 continue
             if row[c] + best[r + 1][mask | bit] == best[r][mask]:
                 choice = c
@@ -640,6 +644,22 @@ def test_brute_force_matches_bitmask_dp_oracle(batch):
             assert brute_force_mapping(table, threshold) == expected, (seed, threshold)
 
 
+@pytest.mark.parametrize("seed", range(230))
+def test_threshold_zero_maps_as_the_smallest_positive_threshold(seed):
+    # F >= 5e-324 holds exactly for the nonzero cells, the pairs that share a
+    # word, so threshold 0 may not make any further cell eligible
+    tiny = 5e-324
+    for table in (_oracle_table(seed), _search_table(seed)):
+        assert initial_potentials(table, 0.0) == initial_potentials(table, tiny)
+        assert replace(resolve_conflicts(table, 0.0), threshold=tiny) == resolve_conflicts(
+            table, tiny
+        )
+        if table.n_rows <= 8 and table.n_cols <= 8:
+            assert replace(brute_force_mapping(table, 0.0), threshold=tiny) == (
+                brute_force_mapping(table, tiny)
+            )
+
+
 def _naive_best_mapping(cells, threshold):
     """Literal depth-first enumeration; first maximal mapping wins, with
     per-row options ordered smallest column first and 'unmapped' last."""
@@ -654,7 +674,7 @@ def _naive_best_mapping(cells, threshold):
                 best["assign"] = assign.copy()
             return
         for c in range(m):
-            if c in used or cells[r][c] < threshold:
+            if c in used or not cells[r][c] or cells[r][c] < threshold:
                 continue
             assign[r] = c
             rec(r + 1, used | {c}, total + cells[r][c])
@@ -710,6 +730,7 @@ def assert_mapping_invariants(m: MappingResult, table: FTable, threshold: float)
     for r, c, f in m.pairs:
         assert f == table.cells[r][c]
         assert f >= threshold
+        assert f, "a pair that shares no word was mapped"
     assert sorted(rows + list(m.unmapped_rows)) == list(range(table.n_rows))
     assert sorted(cols + list(m.unmapped_cols)) == list(range(table.n_cols))
     assert m.threshold == threshold
