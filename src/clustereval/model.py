@@ -19,6 +19,7 @@ from typing import NoReturn
 INHERIT = "inherit"
 OWN_ONLY = "own-only"
 FLATTEN_MODES = (INHERIT, OWN_ONLY)
+_MAX_DEPTH = 100  # levels of a hierarchy document, roots at level 1
 
 
 class DocumentError(ValueError):
@@ -226,14 +227,16 @@ def parse_clustering(text: str) -> Clustering:
 def parse_hierarchy(text: str) -> ExpertHierarchy:
     """Parse and validate a hierarchy document (expert side).
 
-    A document with no ``children`` anywhere is a valid degenerate
-    hierarchy. A node may omit its members only if it has children. Labels
-    may not contain ``/``, which separates the labels of a column path.
+    A flat document is a valid hierarchy; a node deeper than 100 levels
+    fails at its JSON path. A node may omit its members only if it has
+    children. Labels may not contain ``/``, the column-path separator.
     """
     name, raw_roots = _parse_document(text)
     labels: set[str] = set()
 
-    def parse_node(raw: object, loc: str) -> HierarchyNode:
+    def parse_node(raw: object, loc: str, depth: int) -> HierarchyNode:
+        if depth > _MAX_DEPTH:
+            raise DocumentError(loc, f"hierarchy is nested deeper than {_MAX_DEPTH} levels")
         if not isinstance(raw, dict):
             raise DocumentError(loc, "node must be an object")
         label = _clean_string(raw.get("label"), f"{loc}.label", "label")
@@ -247,16 +250,13 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
         if not isinstance(raw_children, list):
             raise DocumentError(f"{loc}.children", "children must be an array")
         children = tuple(
-            parse_node(child, f"{loc}.children[{j}]") for j, child in enumerate(raw_children)
+            parse_node(c, f"{loc}.children[{j}]", depth + 1) for j, c in enumerate(raw_children)
         )
         if not members and not children:
             raise DocumentError(loc, f"node {label!r} has neither members nor children")
         return HierarchyNode(label, members, children)
 
-    try:
-        roots = tuple(parse_node(raw, f"$.classes[{i}]") for i, raw in enumerate(raw_roots))
-    except RecursionError as exc:
-        raise DocumentError("$", "hierarchy is nested too deeply") from exc
+    roots = tuple(parse_node(raw, f"$.classes[{i}]", 1) for i, raw in enumerate(raw_roots))
     return ExpertHierarchy(name, roots)
 
 

@@ -46,6 +46,22 @@ def hierarchy_doc(nodes, name="fixture") -> str:
     return json.dumps({"name": name, "classes": list(nodes)})
 
 
+def chain_doc(depth: int) -> str:
+    """JSON hierarchy document of one chain of ``depth`` nodes, n0 at the
+    root and one word per node. Built as text: ``json.dumps`` refuses deep
+    nesting that the parser must see."""
+    nodes = "".join(f'{{"label": "n{i}", "members": ["w{i}"], "children": [' for i in range(depth))
+    return '{"classes": [' + nodes + "]}" * depth + "]}"
+
+
+def beneath_frames(func, *args, frames=300):
+    """``func(*args)``, called ``frames`` stack frames deeper than the caller,
+    as from inside a deep application stack."""
+    if frames:
+        return beneath_frames(func, *args, frames=frames - 1)
+    return func(*args)
+
+
 def make_clustering(*classes, name="fixture") -> Clustering:
     return Clustering(name, tuple(LabeledClass(l, tuple(m)) for l, m in classes))
 

@@ -29,6 +29,8 @@ from conftest import (
     CLASS_A_MEMBERS,
     CLASS_B_MEMBERS,
     as_flat_hierarchy,
+    beneath_frames,
+    chain_doc,
     clustering_doc,
     hierarchy_doc,
     node,
@@ -401,6 +403,34 @@ def test_columns_of_a_deep_chain_print_compare_and_hash():
     assert "children" not in repr(cols[0])
     assert cols == again and cols[0] == again[0]
     assert hash(cols) == hash(again)
+
+
+def test_a_hundred_level_document_survives_a_deep_caller_stack():
+    # 100 levels is the deepest document parse_hierarchy accepts; its tree
+    # must also flatten, print and compare with 300 frames already in use
+    def check():
+        hierarchy = parse_hierarchy(chain_doc(100))
+        assert hierarchy.roots == _deep_chain(99).roots
+        assert hierarchy == parse_hierarchy(chain_doc(100))
+        assert repr(hierarchy).count("HierarchyNode(") == 100
+        for mode in FLATTEN_MODES:
+            assert [len(col.path) for col in flatten(hierarchy, mode)] == list(range(1, 101))
+        assert flatten(hierarchy, INHERIT)[0].size == 100
+
+    beneath_frames(check)
+
+
+def test_a_node_below_level_100_fails_first_at_its_path():
+    # the depth rule precedes every other check of the node, here its type,
+    # and the first too-deep node in document order is the one reported
+    deep = ["not a node", node("late", ["x"])]
+    for i in reversed(range(100)):
+        deep = [node(f"n{i}", [f"w{i}"], children=deep)]
+    doc = hierarchy_doc([*deep, node("n0", ["dup"])])
+    with pytest.raises(DocumentError) as info:
+        parse_hierarchy(doc)
+    assert info.value.location == "$.classes[0]" + ".children[0]" * 100
+    assert info.value.reason == "hierarchy is nested deeper than 100 levels"
 
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
