@@ -1,10 +1,11 @@
 """Fold mapped pairs and unmapped classes into one overall score.
 
-Each mapped (system class, expert column) pair's counts are read from the
-pair's F and the two class sizes. The overall YES-YES is the sum of the
-pairs' YES-YES. Every system word incidence that no pair counts as YES-YES
-is YES-NO, whether its class is mapped or not. NO-YES is the pairs' NO-YES
-plus every member of each counted unmapped expert column.
+Each mapped (system class, expert column) pair carries its YES-YES from the
+F-table, and its other counts follow from the two class sizes. The overall
+YES-YES is the sum of the pairs' YES-YES. Every system word incidence that
+no pair counts as YES-YES is YES-NO, whether its class is mapped or not.
+NO-YES is the pairs' NO-YES plus every member of each counted unmapped
+expert column.
 """
 
 from __future__ import annotations
@@ -62,17 +63,15 @@ def aggregate(
     if policy not in UNMAPPED_POLICIES:
         raise ValueError(f"unknown unmapped-column policy {policy!r}")
     counted = {TOP_LEVEL: columns.is_top_level, LEAVES: columns.is_leaf}.get(policy)
-    rows = sorted([row for row, _, _ in mapping.pairs] + list(mapping.unmapped_rows))
-    cols = sorted([col for _, col, _ in mapping.pairs] + list(mapping.unmapped_cols))
+    rows = sorted([pair[0] for pair in mapping.pairs] + list(mapping.unmapped_rows))
+    cols = sorted([pair[1] for pair in mapping.pairs] + list(mapping.unmapped_cols))
     if rows != list(range(len(system.classes))) or cols != list(range(len(columns))):
         raise ValueError("mapping does not match this system clustering and column list")
 
     per_pair: list[PairOutcome] = []
-    for row, col, f in mapping.pairs:
+    for row, col, f, shared in mapping.pairs:
         cls = system.classes[row]
         column = columns[col]
-        # exact while |a|+|b| < 2**51: F is the one rounded division 2·yy/(|a|+|b|)
-        shared = round(f * (len(cls) + column.size) / 2)
         if shared > min(len(cls), column.size) or f_measure(shared, len(cls), column.size) != f:
             raise ValueError("mapping does not match this system clustering and column list")
         table = ContingencyTable(shared, len(cls) - shared, column.size - shared)

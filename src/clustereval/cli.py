@@ -146,14 +146,14 @@ def render_table_text(
     zeros = [_cell(0.0).rjust(w) for w in widths]  # each column's zero cell, padded once
     for label, ranked in zip(table.row_labels, table.rows):
         cells = zeros.copy()
-        for c, f in ranked:
+        for c, f, _, _ in ranked:
             cells[c] = _cell(f).rjust(widths[c])
         lines.append(f"{label:<{row_width}}  {'  '.join(cells)}")
     remapped = {event.row for event in mapping.trace}
     lines.append("mapping:")
     if not mapping.pairs:
         lines.append("  (none)")
-    for row, col, f in mapping.pairs:
+    for row, col, f, _ in mapping.pairs:
         marker = "  (re-mapped)" if row in remapped else ""
         lines.append(
             f"  {table.row_labels[row]} -> {_path_str(table.col_paths[col])}  F={_cell(f)}{marker}"
@@ -230,7 +230,7 @@ def table_to_dict(
                     "expert_column": _path_str(table.col_paths[col]),
                     "f_measure": f,
                 }
-                for row, col, f in mapping.pairs
+                for row, col, f, _ in mapping.pairs
             ],
             "unmapped_rows": [table.row_labels[r] for r in mapping.unmapped_rows],
             "unmapped_cols": [_path_str(table.col_paths[c]) for c in mapping.unmapped_cols],

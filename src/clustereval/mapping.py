@@ -15,7 +15,6 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
-from .metrics import f_measure
 from .model import Clustering, ColumnList
 
 DEFAULT_THRESHOLD = 0.20
@@ -27,14 +26,14 @@ class FTable:
     """Pairwise F-measures: one row per system class, one column per
     flattened expert class or subclass.
 
-    ``rows[r]`` holds only row r's nonzero cells, as ``(column, F)`` pairs
-    ranked best F first, equal F toward the smaller column index; every
-    other cell of the row is 0.0.
+    ``rows[r]`` holds only row r's nonzero cells, best F first, equal F
+    toward the smaller column index, as ``(column, F, yy, n)``: the pair
+    shares yy words, n = |a| + |b|, and F is the one rounded division 2·yy/n.
     """
 
     row_labels: tuple[str, ...]
     col_paths: tuple[tuple[str, ...], ...]
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    rows: tuple[tuple[tuple[int, float, int, int], ...], ...]
 
     @property
     def n_rows(self) -> int:
@@ -50,7 +49,7 @@ class FTable:
         dense = []
         for ranked in self.rows:
             row = [0.0] * self.n_cols
-            for col, f in ranked:
+            for col, f, _, _ in ranked:
                 row[col] = f
             dense.append(tuple(row))
         return tuple(dense)
@@ -58,7 +57,7 @@ class FTable:
 
 class RemapEvent(NamedTuple):
     """One conflict resolution step: ``row`` gave up ``from_col`` for
-    ``to_col`` (None = dropped out), sacrificing ``loss`` F-measure."""
+    ``to_col`` (None = dropped out), sacrificing ``loss`` F: the exact loss, rounded once."""
 
     row: int
     from_col: int
@@ -70,7 +69,7 @@ class RemapEvent(NamedTuple):
 class MappingResult:
     """An injective partial map from system rows to expert columns."""
 
-    pairs: tuple[tuple[int, int, float], ...]
+    pairs: tuple[tuple[int, int, float, int], ...]  # (row, column, F, yy)
     unmapped_rows: tuple[int, ...]
     unmapped_cols: tuple[int, ...]
     threshold: float
@@ -82,23 +81,24 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
-# The end of every preference list: dropping out, which keeps F 0.0.
-_DROP: tuple[None, float] = (None, 0.0)
+# A ranked cell, and the end of every preference list: dropping out, F 0.0.
+_Cell = tuple[int | None, float, int, int]
+_DROP: _Cell = (None, 0.0, 0, 1)
 
 
 def _result(
     table: FTable,
-    current: list[tuple[int | None, float]],
+    current: list[_Cell],
     threshold: float,
     trace: tuple[RemapEvent, ...] = (),
 ) -> MappingResult:
-    """Package each row's (column, F) cell, or ``_DROP`` when the row is
-    unmapped, as a MappingResult."""
-    pairs = tuple((row, col, f) for row, (col, f) in enumerate(current) if col is not None)
-    mapped_cols = {col for _, col, _ in pairs}
+    """Package each row's cell, or ``_DROP`` when the row is unmapped, as a
+    MappingResult."""
+    pairs = tuple((r, c, f, yy) for r, (c, f, yy, _) in enumerate(current) if c is not None)
+    mapped_cols = {pair[1] for pair in pairs}
     return MappingResult(
         pairs=pairs,
-        unmapped_rows=tuple(row for row, (col, _) in enumerate(current) if col is None),
+        unmapped_rows=tuple(row for row, cell in enumerate(current) if cell[0] is None),
         unmapped_cols=tuple(col for col in range(table.n_cols) if col not in mapped_cols),
         threshold=threshold,
         trace=trace,
@@ -119,9 +119,9 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     and adds each group's count to the group's columns. The build costs one
     count per word of the class, one addition per column of each group that
     the class touches, and one sort of the class's nonzero cells; no row
-    holds a cell for a column it shares no word with. Every cell equals
-    ``scores(contingency(a, b)).f_measure`` for the class and column word
-    sets; pairs that share no word score 0.0 and are not stored.
+    holds a cell for a column it shares no word with. A cell's yy and F are
+    ``contingency(a, b).yy`` and ``f_measure`` of it for the class and column
+    word sets; pairs that share no word score 0.0 and are not stored.
     """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
@@ -158,17 +158,18 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
         for cols, k in wide:
             for col in cols:
                 overlaps[col] = overlaps.get(col, 0) + k
-        # Rank by column, then stably by F, best first: equal F keeps the
-        # smaller column first, whatever the group ids were.
+        # F is f_measure's division 2·k/t, inline, with t = |a| + |b|. Rank by
+        # column, then stably by F, best first: equal F keeps the smaller
+        # column, whatever the group ids were.
         size = len(cls)
-        ranked = [(col, f_measure(yy, size, sizes[col])) for col, yy in sorted(overlaps.items())]
+        ranked = [(c, 2 * k / (t := size + sizes[c]), k, t) for c, k in sorted(overlaps.items())]
         ranked.sort(key=itemgetter(1), reverse=True)
         rows.append(tuple(ranked))
     return FTable(system.labels(), tuple(col.path for col in columns), tuple(rows))
 
 
-def _preferences(table: FTable, threshold: float) -> list[list[tuple[int | None, float]]]:
-    """Per row, its eligible (column, F) cells, best first, then ``_DROP``.
+def _preferences(table: FTable, threshold: float) -> list[list[_Cell]]:
+    """Per row, its eligible cells, best first, then ``_DROP``.
 
     A cell is eligible when its pair shares a word, which is when the row
     stores it, and its F reaches the threshold; at threshold 0 too, a pair
@@ -199,11 +200,11 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
     list, so a column it gave up stays off limits and the loop ends.
 
     Each row was ranked once, when the table was built, and a call only
-    cuts each ranked row at the threshold, so a re-map reads the F it gives
-    up and the F it steps down to by position. The claimant rows of each
-    column and a heap of candidate re-maps are then kept up to date: a
-    re-map changes only the column a row leaves and the column it reaches,
-    so it costs O(log n) heap work for n candidates pushed.
+    cuts each ranked row at the threshold, so a re-map reads its two cells
+    by position. The claimant rows of each column and a heap of candidate
+    re-maps are then kept up to date: a re-map changes only the column a row
+    leaves and the column it reaches, so it costs O(log n) heap work for n
+    candidates pushed.
     """
     prefs = _preferences(table, threshold)
     rank = [0] * table.n_rows
@@ -214,12 +215,12 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
             claimants.setdefault(col, set()).add(row)
 
     def candidate(row: int) -> tuple[float, int, int, int | None]:
-        """The row's step down from its current cell; ``_DROP``'s F of 0.0
-        makes dropping out lose the whole current F."""
+        """The row's step down, keyed on its exact loss rounded once, so equal
+        losses tie; ``_DROP``'s counts make dropping out lose exactly F."""
         ranked, k = prefs[row], rank[row]
-        col, here = ranked[k]
-        alt, there = ranked[k + 1]
-        return (here - there, row, col, alt)
+        col, _, y, p = ranked[k]
+        alt, _, z, q = ranked[k + 1]
+        return (2 * (y * q - z * p) / (p * q), row, col, alt)
 
     # A (row, col) pair fixes its alternative, so heap order is (loss, row, col).
     heap = [candidate(row) for rows in claimants.values() if len(rows) > 1 for row in rows]
@@ -267,18 +268,18 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
         )
 
     @cache
-    def best(r: int, used: int) -> tuple[float, tuple[tuple[int | None, float], ...]]:
+    def best(r: int, used: int) -> tuple[float, tuple[_Cell, ...]]:
         """Max total F over rows r.. with the columns in ``used`` taken, and
-        the first (column, F) choices that reach it: free columns ascending,
-        then unmapped."""
+        the first cells chosen that reach it: free columns ascending, then
+        unmapped."""
         if r == n:
             return 0.0, ()
         options = []
-        for c, f in eligible[r]:
-            bit = 1 << c
+        for cell in eligible[r]:
+            bit = 1 << cell[0]
             if not used & bit:
                 total, rest = best(r + 1, used | bit)
-                options.append((f + total, ((c, f), *rest)))
+                options.append((cell[1] + total, (cell, *rest)))
         total, rest = best(r + 1, used)
         options.append((total, (_DROP, *rest)))
         return max(options, key=itemgetter(0))  # the first maximal option

@@ -80,12 +80,20 @@ def as_flat_hierarchy(clustering: Clustering) -> ExpertHierarchy:
 
 def as_dict(mapping: MappingResult) -> dict[int, int]:
     """A mapping's pairs as row -> column."""
-    return {row: col for row, col, _ in mapping.pairs}
+    return {row: col for row, col, _, _ in mapping.pairs}
 
 
 def total_f(mapping: MappingResult) -> float:
     """The summed F of a mapping's pairs, in row order."""
-    return sum(f for _, _, f in mapping.pairs)
+    return sum(f for _, _, f, _ in mapping.pairs)
+
+
+def dyadic_cell(col: int, f: float) -> tuple[int, float, int, int]:
+    """An F-table cell for the float f = m/d, with yy = m and n = 2d: the one
+    rounded division 2·yy/n is f exactly, so a table of such cells re-maps
+    as the bare floats' differences would."""
+    m, d = f.as_integer_ratio()
+    return col, f, m, 2 * d
 
 
 def random_partition(rng, words, max_classes) -> Clustering:

@@ -116,11 +116,11 @@ def test_mapping_invariant_suite_1000_instances():
         second = resolve_conflicts(table, THRESHOLD)
         assert first == second and repr(first) == repr(second)
 
-        rows = [r for r, _, _ in first.pairs]
-        cols = [c for _, c, _ in first.pairs]
+        rows = [r for r, _, _, _ in first.pairs]
+        cols = [c for _, c, _, _ in first.pairs]
         assert len(rows) == len(set(rows))
         assert len(cols) == len(set(cols))
-        assert all(f >= THRESHOLD for _, _, f in first.pairs)
+        assert all(f >= THRESHOLD for _, _, f, _ in first.pairs)
         assert sorted(rows + list(first.unmapped_rows)) == list(range(table.n_rows))
         assert sorted(cols + list(first.unmapped_cols)) == list(range(table.n_cols))
     elapsed = time.perf_counter() - started
@@ -178,7 +178,9 @@ def test_self_evaluation_identity_100_golds():
         columns = flatten(as_flat_hierarchy(gold), INHERIT)
         table = build_f_table(gold, columns)
         mapping = resolve_conflicts(table, THRESHOLD)
-        assert mapping.pairs == tuple((i, i, 1.0) for i in range(len(gold.classes)))
+        assert mapping.pairs == tuple(
+            (i, i, 1.0, len(cls)) for i, cls in enumerate(gold.classes)
+        )
         report = aggregate(gold, columns, mapping, ALL_COLUMNS)
         s = report.overall_scores
         assert (s.precision, s.recall, s.f_measure) == (1.0, 1.0, 1.0)

@@ -17,6 +17,7 @@ from conftest import (
     beneath_frames,
     chain_doc,
     clustering_doc,
+    dyadic_cell,
     hierarchy_doc,
     node,
 )
@@ -402,8 +403,9 @@ def test_table_text_body_matches_per_cell_rendering(seed):
     values = (0.00004, 0.00005, 0.25, 1 / 3, 0.99996, 1.0, rng.random())
     rows = []
     for _ in range(n_rows):
-        cells = {c: rng.choice(values) for c in rng.sample(range(n_cols), rng.randint(0, n_cols))}
-        rows.append(tuple(sorted(cells.items(), key=lambda cell: (-cell[1], cell[0]))))
+        columns = rng.sample(range(n_cols), rng.randint(0, n_cols))
+        cells = [dyadic_cell(c, rng.choice(values)) for c in columns]
+        rows.append(tuple(sorted(cells, key=lambda cell: (-cell[1], cell[0]))))
     table = FTable(
         tuple("R" * rng.randint(1, 10) + str(i) for i in range(n_rows)),
         tuple(("C" * rng.randint(1, 10), str(j))[: rng.randint(1, 2)] for j in range(n_cols)),

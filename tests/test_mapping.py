@@ -39,6 +39,7 @@ from conftest import (
     CLASS_B_MEMBERS,
     as_dict,
     as_flat_hierarchy,
+    dyadic_cell,
     make_clustering,
     total_f,
     tree,
@@ -46,18 +47,19 @@ from conftest import (
 from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 
-def _ranked(row) -> tuple[tuple[int, float], ...]:
-    """A dense row's nonzero (column, F) cells, F descending, then column
-    ascending: the oracle for one of FTable.rows."""
-    nonzero = ((c, f) for c, f in enumerate(row) if f)
-    return tuple(sorted(nonzero, key=lambda cell: (-cell[1], cell[0])))
+def _ranked(row) -> tuple[tuple[int, float, int, int], ...]:
+    """A dense row's nonzero (column, F, yy, n) cells, F descending, then
+    column ascending: the oracle for one of FTable.rows."""
+    return tuple(sorted((cell for cell in row if cell[1]), key=lambda cell: (-cell[1], cell[0])))
 
 
 def table_of(cells) -> FTable:
-    """A table of the given dense floats, each row ranked as build_f_table ranks it."""
+    """A table of the given dense floats, each a ``dyadic_cell``, each row
+    ranked as build_f_table ranks it."""
     rows = tuple(f"R{i}" for i in range(len(cells)))
     cols = tuple((f"K{j}",) for j in range(len(cells[0])))
-    return FTable(rows, cols, tuple(map(_ranked, cells)))
+    ranked = (_ranked(dyadic_cell(c, f) for c, f in enumerate(row)) for row in cells)
+    return FTable(rows, cols, tuple(ranked))
 
 
 def test_build_f_table_golden_single_pair():
@@ -112,12 +114,22 @@ def test_equal_fractions_tie_toward_the_smaller_column():
     assert table.cells[0] == (1 / 3, 1 / 3)
 
 
-def _dense_f_table(system, columns):
-    """The F-measure of every cell, one by one: the oracle for build_f_table."""
-    return tuple(
-        tuple(scores(contingency(frozenset(cls.members), col.members)).f_measure for col in columns)
-        for cls in system.classes
-    )
+def _dense_cells(system, columns):
+    """Every cell as (column, F, yy, |a| + |b|), counted one by one from the
+    word sets: the oracle for build_f_table."""
+    dense = []
+    for cls in system.classes:
+        row = []
+        for c, col in enumerate(columns):
+            t = contingency(frozenset(cls.members), col.members)
+            row.append((c, scores(t).f_measure, t.yy, 2 * t.yy + t.yn + t.ny))
+        dense.append(tuple(row))
+    return tuple(dense)
+
+
+def _dense_f(dense):
+    """The F of every cell of ``_dense_cells``, as ``FTable.cells`` holds it."""
+    return tuple(tuple(cell[1] for cell in row) for row in dense)
 
 
 def _differential_instance(seed):
@@ -166,8 +178,8 @@ def test_build_f_table_matches_dense_oracle(seed):
         table = build_f_table(system, columns)
         assert table.row_labels == system.labels()
         assert table.col_paths == tuple(col.path for col in columns)
-        dense = _dense_f_table(system, columns)
-        assert table.cells == dense
+        dense = _dense_cells(system, columns)
+        assert table.cells == _dense_f(dense)
         assert table.rows == tuple(map(_ranked, dense))
         assert table.cells[-2][1] > 0.0  # SHARED, so no case is all zeros
         assert table.cells[-1] == (0.0,) * len(columns)  # ROW
@@ -234,10 +246,10 @@ def test_build_f_table_counts_word_groups(rows, roots, mode):
     system = Clustering("s", tuple(LabeledClass(f"S{i}", tuple(r)) for i, r in enumerate(rows)))
     columns = flatten(ExpertHierarchy("e", tuple(roots)), mode)
     table = build_f_table(system, columns)
-    dense = _dense_f_table(system, columns)
-    assert table.cells == dense
+    dense = _dense_cells(system, columns)
+    assert table.cells == _dense_f(dense)
     assert table.rows == tuple(map(_ranked, dense))
-    assert any(map(any, dense))
+    assert any(map(any, table.cells))
 
 
 _TINY_WORDS = ("a", "b", "c", "d", "e", "f")
@@ -272,8 +284,8 @@ def test_build_f_table_matches_dense_oracle_on_tiny_vocabularies(instance):
     for mode in FLATTEN_MODES:
         columns = flatten(expert, mode)
         table = build_f_table(system, columns)
-        dense = _dense_f_table(system, columns)
-        assert table.cells == dense
+        dense = _dense_cells(system, columns)
+        assert table.cells == _dense_f(dense)
         assert table.rows == tuple(map(_ranked, dense))
 
 
@@ -314,7 +326,7 @@ def test_ranked_rows_do_not_follow_the_hash_seed():
     tables = outputs[0].splitlines()
     assert len(tables) == len(FLATTEN_MODES)
     for rows in map(ast.literal_eval, tables):
-        assert any(len({f for _, f in row}) < len(row) for row in rows)  # ties within a row
+        assert any(len({cell[1] for cell in row}) < len(row) for row in rows)  # ties within a row
 
 
 def _dense_preferences(cells, threshold):
@@ -339,10 +351,12 @@ def test_preferences_match_dense_stable_sort(seed):
     exact = sorted({f for row in cells for f in row})
     for threshold in (0.0, 1.0, rng.random(), rng.random(), *exact):
         prefs = _preferences(table, threshold)
-        assert [[c for c, _ in ranked] for ranked in prefs] == _dense_preferences(cells, threshold)
+        assert [[cell[0] for cell in ranked] for ranked in prefs] == (
+            _dense_preferences(cells, threshold)
+        )
         for row, ranked in zip(cells, prefs):
-            assert ranked[-1] == (None, 0.0)
-            assert all(f == row[c] for c, f in ranked[:-1])
+            assert ranked[-1] == (None, 0.0, 0, 1)
+            assert all(f == row[c] for c, f, _, _ in ranked[:-1])
 
 
 def test_threshold_zero_leaves_a_zero_overlap_row_unmapped():
@@ -352,7 +366,7 @@ def test_threshold_zero_leaves_a_zero_overlap_row_unmapped():
     expert = make_clustering(("X", ["a", "b"]), ("Y", ["c"]), ("W", ["d"]))
     table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
     m = resolve_conflicts(table, 0.0)
-    assert m.pairs == ((0, 0, 1.0),)
+    assert m.pairs == ((0, 0, 1.0, 2),)
     assert m.unmapped_rows == (1,)
     assert m.unmapped_cols == (1, 2)
     assert m.trace == ()
@@ -430,9 +444,12 @@ def _banned_set_best_column(row, threshold, banned):
     return best
 
 
-def _banned_set_resolver(table, threshold):
+def _banned_set_resolver(table, threshold, exact=None):
     """The earlier resolver, which rescans each claimant's whole row past a
-    per-row set of abandoned columns: the oracle for resolve_conflicts."""
+    per-row set of abandoned columns: the oracle for resolve_conflicts.
+    Losses are differences of the dense cells, or of ``exact``'s, a dense
+    table of the cells' fractions, compared exactly and rounded once."""
+    exact = table.cells if exact is None else exact
     current = [_banned_set_best_column(row, threshold, set()) for row in table.cells]
     potentials = tuple(current)
     banned = [set() for _ in range(table.n_rows)]
@@ -448,25 +465,26 @@ def _banned_set_resolver(table, threshold):
                 continue
             for row in rows:
                 alt = _banned_set_best_column(table.cells[row], threshold, banned[row] | {col})
-                here = table.cells[row][col]
-                loss = here if alt is None else here - table.cells[row][alt]
+                here = exact[row][col]
+                loss = here if alt is None else here - exact[row][alt]
                 candidates.append((loss, row, col, alt))
         if not candidates:
             break
         loss, row, col, alt = min(candidates, key=lambda c: (c[0], c[1], c[2]))
         banned[row].add(col)
         current[row] = alt
-        trace.append(RemapEvent(row, col, alt, loss))
+        trace.append(RemapEvent(row, col, alt, float(loss)))
     return potentials, _as_result(table, current, threshold, tuple(trace))
 
 
 def _as_result(table, current, threshold, trace=()):
     """A row -> column list (None = unmapped) as a MappingResult, for the oracles."""
-    pairs = tuple((r, c, table.cells[r][c]) for r, c in enumerate(current) if c is not None)
+    cells = [{cell[0]: cell for cell in ranked} for ranked in table.rows]
+    pairs = tuple((r, c, *cells[r][c][1:3]) for r, c in enumerate(current) if c is not None)
     return MappingResult(
         pairs=pairs,
         unmapped_rows=tuple(r for r, c in enumerate(current) if c is None),
-        unmapped_cols=tuple(c for c in range(table.n_cols) if c not in {c for _, c, _ in pairs}),
+        unmapped_cols=tuple(c for c in range(table.n_cols) if c not in {p[1] for p in pairs}),
         threshold=threshold,
         trace=trace,
     )
@@ -540,23 +558,35 @@ def test_resolve_conflicts_matches_banned_set_oracle(seed):
         assert resolve_conflicts(table, threshold) == expected  # every RemapEvent.loss too
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="re-map losses are float differences of two cells; exact losses need the "
-    "integer counts of ROADMAP item 3",
-)
 def test_equal_exact_losses_remap_the_smaller_row():
     # F(R0, X) = 2/10 and F(R1, X) - F(R1, Y) = 6/20 - 2/20: both losses are
-    # exactly 1/5, so the tie rule re-maps R0. The float difference
-    # 0.3 - 0.1 is 0.19999999999999998, one ulp below 0.2, so R1 re-maps
-    # instead, and the text trace prints loss=0.2000 for it.
+    # exactly 1/5, so the tie rule re-maps R0. Each loss is one rounded
+    # division of integers, so both are 0.2; the float difference 0.3 - 0.1
+    # would be 0.19999999999999998, one ulp below, and re-map R1 instead.
     x = [f"x{i}" for i in range(1, 10)]
     system = make_clustering(("R0", ["x1"]), ("R1", [*x[:3], "y1", *(f"o{i}" for i in range(7))]))
     expert = make_clustering(("X", x), ("Y", [f"y{i}" for i in range(1, 10)]))
     table = build_f_table(system, flatten(as_flat_hierarchy(expert), INHERIT))
     assert table.cells == ((0.2, 0.0), (0.3, 0.1))
     m = resolve_conflicts(table, 0.1)
-    assert [(e.row, e.from_col, e.to_col) for e in m.trace] == [(0, 0, None)]
+    assert m.trace == (RemapEvent(0, 0, None, 0.2),)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_remap_losses_are_exact_fractions_rounded_once(seed):
+    system, columns = _instance_parts(seed)
+    table = build_f_table(system, columns)
+    # each cell's fraction 2·yy/(|a|+|b|), counted from the word sets
+    exact = [
+        [Fraction(2 * len(words & col.members), len(words) + col.size) for col in columns]
+        for words in (frozenset(cls.members) for cls in system.classes)
+    ]
+    for threshold in (0.0, 0.1, 0.2, 0.5):
+        m = resolve_conflicts(table, threshold)
+        for e in m.trace:
+            there = 0 if e.to_col is None else exact[e.row][e.to_col]
+            assert e.loss == float(exact[e.row][e.from_col] - there), (threshold, e)
+        assert m == _banned_set_resolver(table, threshold, exact)[1]
 
 
 def test_brute_force_on_conflict_fixture():
@@ -700,6 +730,10 @@ def test_brute_force_matches_naive_enumeration(seed):
 
 
 def _instance(seed):
+    return build_f_table(*_instance_parts(seed))
+
+
+def _instance_parts(seed):
     system = gen_clustering(
         GenSpec(
             seed=seed,
@@ -719,16 +753,16 @@ def _instance(seed):
             hierarchy_depth=1 + seed % 3,
         )
     )
-    return build_f_table(system, flatten(expert, INHERIT))
+    return system, flatten(expert, INHERIT)
 
 
 def assert_mapping_invariants(m: MappingResult, table: FTable, threshold: float):
-    rows = [r for r, _, _ in m.pairs]
-    cols = [c for _, c, _ in m.pairs]
+    rows = [r for r, _, _, _ in m.pairs]
+    cols = [c for _, c, _, _ in m.pairs]
     assert len(rows) == len(set(rows)), "mapping not injective in rows"
     assert len(cols) == len(set(cols)), "mapping not injective in columns"
-    for r, c, f in m.pairs:
-        assert f == table.cells[r][c]
+    for r, c, f, yy in m.pairs:
+        assert (c, f, yy) in {cell[:3] for cell in table.rows[r]}
         assert f >= threshold
         assert f, "a pair that shares no word was mapped"
     assert sorted(rows + list(m.unmapped_rows)) == list(range(table.n_rows))
