@@ -81,7 +81,7 @@ def aggregate(
         (system.classes[row].label, len(system.classes[row])) for row in mapping.unmapped_rows
     )
     unmapped_expert = tuple(
-        (columns.columns[col].path, columns.columns[col].size)
+        (columns[col].path, columns[col].size)
         for col in mapping.unmapped_cols
         if counted is None or counted(col)
     )

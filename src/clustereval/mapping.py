@@ -108,56 +108,48 @@ def _result(
 def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     """Score every (system class, expert column) pair by F-measure.
 
-    Only pairs that share a word are scored. Each column's own words are
-    intersected with the system vocabulary, and the words that lie in exactly
-    the same columns form one word group. A word that one column owns
-    belongs to that column's group, whose columns are its lineage: the
-    column and, under ``inherit``, its ancestor columns, since a column
-    holds every word of its descendants. A word that several columns own
-    belongs to the group of the union of their lineages, so a shared
-    ancestor counts it once. Each system class counts its words per group
+    Only pairs that share a word are scored. The system vocabulary is
+    partitioned into word groups, the words that lie in exactly the same
+    columns, by refinement: every word starts in group 0, which has no
+    columns, and each column in pre-order moves the vocabulary words it owns
+    out of their groups, one new group per old group it touches, whose
+    columns are the old group's columns and the column's lineage. The
+    lineage is the column and, under ``inherit``, its ancestor columns, since
+    a column holds every word of its descendants; a column hands it to its
+    child columns by identity. Each system class counts its words per group
     and adds each group's count to the group's columns. The build costs one
-    count per word of the class, one addition per column of each group that
-    the class touches, and one sort of the class's nonzero cells; no row
-    holds a cell for a column it shares no word with. A cell's yy and F are
+    set intersection per column, one group move per vocabulary word that a
+    column owns, one new group per (column, old group) pair, and, per class,
+    one count per word, one addition per column of each group the class
+    touches and one sort of its nonzero cells; no row holds a cell for a
+    column it shares no word with. A cell's yy and F are
     ``contingency(a, b).yy`` and ``f_measure`` of it for the class and column
     word sets; pairs that share no word score 0.0 and are not stored.
     """
     if not system.classes or not len(columns):
         raise ValueError("need at least one system class and one expert column")
-    n = len(columns)
     sizes = [col.size for col in columns]
     vocab = frozenset().union(*(cls.members for cls in system.classes))
-    lineages: list[tuple[int, ...]] = []  # per column: the column and its ancestors
-    parents: dict[tuple[str, ...], tuple[int, ...]] = {}  # a child's path -> its parent's lineage
-    group: dict[str, int] = {}  # a word -> its one owner column, or a group id from n up
-    merged: dict[str, list[int]] = {}  # the lineages of words with several owners
+    group = dict.fromkeys(vocab, 0)  # a word -> its group id
+    spans: list[frozenset[int]] = [frozenset()]  # a group id -> its columns
+    above: dict[int, tuple[int, ...]] = {}  # id() of a child column -> its parent's lineage
     for col, column in enumerate(columns):
-        lineage = (col, *parents.pop(column.path, ()))
-        lineages.append(lineage)
+        lineage = (col, *above.pop(id(column), ()))
         for child in column.children:
-            parents[child.path] = lineage
+            above[id(child)] = lineage
+        split: dict[int, int] = {}  # an old group -> the new group its words move to
         for word in vocab.intersection(column.own):
-            first = group.setdefault(word, col)
-            if first != col:
-                merged.setdefault(word, list(lineages[first])).extend(lineage)
-    # A group id below n is a column, standing for the column's lineage; the
-    # groups of more than one column are kept here with their columns.
-    spans = {col: lineage for col, lineage in enumerate(lineages) if len(lineage) > 1}
-    ids: dict[frozenset[int], int] = {}
-    for word, owners in merged.items():
-        group[word] = ids.setdefault(frozenset(owners), n + len(ids))
-    spans.update((gid, tuple(cols)) for cols, gid in ids.items())
+            old = group[word]
+            if old not in split:
+                split[old] = len(spans)
+                spans.append(spans[old].union(lineage))
+            group[word] = split[old]
     rows = []
     for cls in system.classes:
-        overlaps = Counter(map(group.get, cls.members))
-        overlaps.pop(None, None)  # the words that no column holds
-        # Take every wider group's count out before adding any: a column
-        # with ancestors has its lineage group under its own id.
-        wide = [(spans[gid], overlaps.pop(gid)) for gid in spans.keys() & overlaps.keys()]
-        for cols, k in wide:
-            for col in cols:
-                overlaps[col] = overlaps.get(col, 0) + k
+        overlaps: dict[int, int] = {}
+        for gid, k in Counter(map(group.__getitem__, cls.members)).items():
+            for c in spans[gid]:
+                overlaps[c] = overlaps.get(c, 0) + k
         # F is f_measure's division 2·k/t, inline, with t = |a| + |b|. Rank by
         # column, then stably by F, best first: equal F keeps the smaller
         # column, whatever the group ids were.

@@ -93,7 +93,7 @@ class Column:
     def members(self) -> frozenset[str]:
         """The effective word set: this column's own words and those of every
         column below it, gathered by a loop, not one call per level. No
-        command builds it: a mapped pair's counts come from its F and sizes."""
+        command builds it: a mapped pair's counts come from its cell's yy."""
         owns = []
         stack = [self]
         while stack:

@@ -209,8 +209,8 @@ _PREFIX = [f"u{i}" for i in range(9)]
             [tree("P", "a b", tree("C", "a c", tree("G", "a")))],
         ),
         # "a" in a node and its child, and "c" in the child only, next to six
-        # more roots: the group of "a" and the child's lineage group both
-        # reach the child's column, so each count must be taken once
+        # more roots: "a" lies in the node's group and then in the child's,
+        # whose columns already hold the node, so the node counts it once
         (
             [["a", "c"], ["c"]],
             [tree("P", "a b", tree("C", "a c")), *(tree(f"X{i}", f"x{i}") for i in range(6))],
@@ -230,6 +230,12 @@ _PREFIX = [f"u{i}" for i in range(9)]
             [["z"], ["a", "z"]],
             [tree("A", "a b"), tree("B", "c")],
         ),
+        # two children with the same label and so the same path: each is
+        # below its parent, so the parent holds both children's words
+        (
+            [["b2"], ["a", "b1"]],
+            [tree("A", "a", tree("B", "b1"), tree("B", "b2"))],
+        ),
     ],
     ids=[
         "prefix-family",
@@ -239,6 +245,7 @@ _PREFIX = [f"u{i}" for i in range(9)]
         "two-roots",
         "same-owners",
         "unheld",
+        "repeated-sibling-labels",
     ],
 )
 @pytest.mark.parametrize("mode", FLATTEN_MODES)
@@ -253,15 +260,17 @@ def test_build_f_table_counts_word_groups(rows, roots, mode):
 
 
 _TINY_WORDS = ("a", "b", "c", "d", "e", "f")
+_TINY_LABELS = ("N0", "N1", "N2", "N3")
 
 
 @st.composite
 def _tiny_instances(draw):
-    """Up to 21 nodes over six words, so most words have several owners."""
-    labels = iter(range(100))
+    """Up to 21 nodes over six words, so most words have several owners, and
+    labels drawn from four, so siblings and cousins can share a label and a
+    path, which the parser rejects but ``flatten`` accepts."""
 
     def grow(depth: int) -> HierarchyNode:
-        label = f"N{next(labels)}"
+        label = draw(st.sampled_from(_TINY_LABELS))
         n_children = draw(st.integers(0, 2 if depth < 3 else 0))
         children = tuple(grow(depth + 1) for _ in range(n_children))
         # a leaf needs a word of its own; an inner node may have none
