@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, aggregate
-from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, build_f_table, resolve_conflicts
+from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, _decimal, build_f_table
+from .mapping import resolve_conflicts
 from .metrics import ContingencyTable, Scores, pair_baseline
 from .model import (
     FLATTEN_MODES,
@@ -59,6 +60,10 @@ def _cell(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _threshold_text(t: float) -> str:
+    return repr(t).removesuffix(".0")
+
+
 def _path_str(path: tuple[str, ...]) -> str:
     return "/".join(path)
 
@@ -85,7 +90,7 @@ def _counts_doc(t: ContingencyTable, s: Scores) -> dict:
 def render_evaluation_text(system_path: str, expert_path: str, report: EvaluationReport) -> str:
     lines = [f"evaluation: {system_path} vs {expert_path}"]
     lines.append(
-        f"config: threshold={report.threshold:g} flatten={report.flatten_mode}"
+        f"config: threshold={_threshold_text(report.threshold)} flatten={report.flatten_mode}"
         f" unmapped-cols={report.unmapped_policy}"
     )
     lines.append(f"mapped pairs ({len(report.per_pair)}):")
@@ -139,8 +144,8 @@ def render_table_text(
     row_width = max(len(label) for label in table.row_labels)
     widths = [max(len(h), 6) for h in headers]
     lines = [
-        f"f-table: {system_path} vs {expert_path}"
-        f" ({table.n_rows} rows x {table.n_cols} cols, threshold={mapping.threshold:g})"
+        f"f-table: {system_path} vs {expert_path} ({table.n_rows} rows x {table.n_cols} cols,"
+        f" threshold={_threshold_text(mapping.threshold)})"
     ]
     lines.append(" " * row_width + "  " + "  ".join(h.rjust(w) for h, w in zip(headers, widths)))
     zeros = [_cell(0.0).rjust(w) for w in widths]  # each column's zero cell, padded once
@@ -333,6 +338,8 @@ def _threshold_arg(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"threshold must be in [0, 1], got {raw}")
+    if _decimal(raw) != _decimal(repr(value)):
+        raise argparse.ArgumentTypeError(f"no double holds {raw} exactly; the nearest is {value!r}")
     return abs(value)  # -0 echoes as 0
 
 

@@ -76,9 +76,15 @@ class MappingResult:
     trace: tuple[RemapEvent, ...]
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+def _decimal(text: str) -> tuple[int, int]:
+    """A numeral that ``float`` accepts as (m, e), its exact value m·10^e with m 0
+    or no multiple of 10: equal values give equal pairs, and no power of ten."""
+    mantissa, _, exponent = text.strip().lower().replace("_", "").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    m, e = int(whole + fraction), int(exponent or 0) - len(fraction)
+    while m and not m % 10:
+        m, e = m // 10, e + 1
+    return (m, e) if m else (0, 0)
 
 
 # A ranked cell, and the end of every preference list: dropping out, F 0.0.
@@ -161,22 +167,28 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
 
 
 def _preferences(table: FTable, threshold: float) -> list[list[_Cell]]:
-    """Per row, its eligible cells, best first, then ``_DROP``.
-
-    A cell is eligible when its pair shares a word, which is when the row
-    stores it, and its F reaches the threshold; at threshold 0 too, a pair
-    that shares no word stays ineligible. This is the one statement of the
-    rule. Each row is already ranked, so this is a prefix of it.
+    """Per row, its eligible cells, best first, then ``_DROP``: the one
+    statement of the rule. A cell is eligible when its pair shares a word,
+    which is when the row stores it, at threshold 0 too, and its exact F,
+    2·yy/n, reaches the threshold's decimal ``repr(threshold)``, so 0.2 means
+    1/5. F is 2·yy/n rounded once and rounding is monotone, so only an F
+    equal to the threshold needs the integer test. Rows keep their order.
     """
-    _check_threshold(threshold)
-    return [[cell for cell in ranked if cell[1] >= threshold] + [_DROP] for ranked in table.rows]
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    m, e = _decimal(repr(threshold))  # e <= 0, as the threshold is at most 1
+    return [
+        [c for c in row if c[1] > threshold or c[1] == threshold and 2 * c[2] * 10**-e >= m * c[3]]
+        + [_DROP]
+        for row in table.rows
+    ]
 
 
 def initial_potentials(
     table: FTable, threshold: float = DEFAULT_THRESHOLD
 ) -> tuple[int | None, ...]:
-    """Per row, the best-F column at or above the threshold (ties go to
-    the smaller column index); None when no column qualifies."""
+    """Per row, its best-F eligible column, as ``_preferences`` decides (ties
+    go to the smaller column index); None when no column qualifies."""
     return tuple(ranked[0][0] for ranked in _preferences(table, threshold))
 
 
@@ -191,12 +203,12 @@ def resolve_conflicts(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> Ma
     index) and look for conflicts again. A row only ever steps down its
     list, so a column it gave up stays off limits and the loop ends.
 
-    Each row was ranked once, when the table was built, and a call only
-    cuts each ranked row at the threshold, so a re-map reads its two cells
-    by position. The claimant rows of each column and a heap of candidate
-    re-maps are then kept up to date: a re-map changes only the column a row
-    leaves and the column it reaches, so it costs O(log n) heap work for n
-    candidates pushed.
+    Each row was ranked once, when the table was built, and a call keeps
+    only its eligible cells (``_preferences``), so a re-map reads its two
+    cells by position. The claimant rows of each column and a heap of
+    candidate re-maps are then kept up to date: a re-map changes only the
+    column a row leaves and the column it reaches, so it costs O(log n) heap
+    work for n candidates pushed.
     """
     prefs = _preferences(table, threshold)
     rank = [0] * table.n_rows

@@ -278,6 +278,88 @@ def test_negative_zero_threshold_echoes_as_zero(capsys, golden_files):
     assert [row.split(",")[1] for row in sweep.splitlines()[1:]] == ["0.2", "0.0"]
 
 
+@pytest.fixture
+def five_sixths_files(tmp_path):
+    """A five-word system class inside a seven-word expert column: F = 5/6,
+    whose double, printed 0.8333333333333334, lies above 5/6."""
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(clustering_doc([("s", list("abcde"))]), encoding="utf-8")
+    expert.write_text(clustering_doc([("e", list("abcdefg"))]), encoding="utf-8")
+    return ["--system", str(system), "--expert", str(expert)]
+
+
+@pytest.mark.parametrize("raw, mapped", [("0.8333333333333334", 0), ("0.8333333333333333", 1)])
+def test_commands_agree_on_the_exact_threshold(capsys, five_sixths_files, raw, mapped):
+    # 5/6 < 0.8333333333333334 although F's double prints as that decimal,
+    # and 5/6 > 0.8333333333333333: every command decides both exactly.
+    io_args = five_sixths_files
+    code, out, _ = run(capsys, "evaluate", *io_args, "--threshold", raw)
+    assert code == 0
+    assert f"config: threshold={raw} " in out
+    assert f"mapped pairs ({mapped}):" in out
+    _, out, _ = run(capsys, "evaluate", *io_args, "--threshold", raw, "--format", "json")
+    doc = json.loads(out)["experts"][0]
+    assert (doc["config"]["threshold"], len(doc["pairs"])) == (float(raw), mapped)
+    code, out, _ = run(capsys, "table", *io_args, "--threshold", raw)
+    assert code == 0
+    assert f"(1 rows x 1 cols, threshold={raw})" in out
+    assert ("  s -> e  F=0.8333\n" in out) == bool(mapped)
+    code, out, _ = run(capsys, "sweep", *io_args, "--thresholds", raw)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1:3] == [raw, str(mapped)]
+
+
+@pytest.mark.parametrize(
+    "raw, nearest",
+    [
+        ("0.66666666666666667", "0.6666666666666666"),
+        ("1.00000000000000001", "1.0"),
+        ("1e-999999999", "0.0"),
+    ],
+)
+def test_threshold_that_no_double_holds_is_a_usage_error(capsys, golden_files, raw, nearest):
+    # Each parses to a double in [0, 1] whose own decimal differs from the
+    # typed one; 1e-999999999 is judged without computing 10**999999999.
+    system, expert = golden_files
+    reason = f"no double holds {raw} exactly; the nearest is {nearest}"
+    for flag, value, command in (
+        ("--threshold", raw, "evaluate"),
+        ("--threshold", raw, "table"),
+        ("--thresholds", f"0.2,{raw}", "sweep"),
+    ):
+        argv = [command, "--system", system, "--expert", expert, flag, value]
+        code, out, err = usage_error(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: argument {flag}: {reason}" in err
+
+
+@pytest.mark.parametrize(
+    "raw, echo", [("+.2", "0.2"), ("0.20", "0.2"), ("2e-1", "0.2"), ("0.2_0", "0.2")]
+)
+def test_threshold_spellings_of_a_double_are_accepted(capsys, golden_files, raw, echo):
+    # -0 is test_negative_zero_threshold_echoes_as_zero's case.
+    system, expert = golden_files
+    argv = ["--system", system, "--expert", expert]
+    code, out, _ = run(capsys, "evaluate", *argv, "--threshold", raw)
+    assert code == 0
+    assert f"config: threshold={echo} " in out
+    code, out, _ = run(capsys, "sweep", *argv, "--thresholds", raw)
+    assert (code, out.splitlines()[1].split(",")[1]) == (0, str(float(echo)))
+
+
+def test_text_echo_shows_the_threshold_in_full(capsys, golden_files):
+    # The shortest round-trip decimal without a trailing ".0", also past six
+    # significant digits and for a subnormal threshold.
+    system, expert = golden_files
+    argv = ["--system", system, "--expert", expert, "--threshold"]
+    for echo in ("1", "0.25", "1e-05", "0.1234567", "0.8333333333333333", "5e-324"):
+        _, out, _ = run(capsys, "evaluate", *argv, echo)
+        assert f"config: threshold={echo} " in out
+        _, out, _ = run(capsys, "table", *argv, echo)
+        assert f"cols, threshold={echo})\n" in out
+
+
 def test_input_errors_name_the_file(capsys, tmp_path, golden_files):
     system, expert = golden_files
     bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from clustereval.mapping import (
     FTable,
     MappingResult,
     RemapEvent,
+    _decimal,
     _preferences,
     brute_force_mapping,
     build_f_table,
@@ -338,30 +340,34 @@ def test_ranked_rows_do_not_follow_the_hash_seed():
         assert any(len({cell[1] for cell in row}) < len(row) for row in rows)  # ties within a row
 
 
-def _dense_preferences(cells, threshold):
-    """Per dense row, a stable reverse sort by F of the nonzero columns at or
-    above the threshold, then None: the oracle for _preferences."""
-    return [
-        sorted(
-            (c for c, f in enumerate(row) if f and f >= threshold),
-            key=row.__getitem__,
-            reverse=True,
-        )
-        + [None]
-        for row in cells
-    ]
+def _dense_preferences(table, threshold):
+    """Per row, a stable reverse sort by F of the columns whose exact F,
+    Fraction(2·yy, n) from the cell's counts, reaches the threshold's
+    decimal, Fraction(repr(threshold)), then None: the oracle for
+    _preferences. Only stored cells, which share a word, are candidates."""
+    floor = Fraction(repr(threshold))
+    dense = []
+    for ranked in table.rows:
+        counts = dict.fromkeys(range(table.n_cols), (0.0, 0, 1))
+        counts.update((c, (f, yy, n)) for c, f, yy, n in ranked)
+        eligible = [c for c, (_, yy, n) in counts.items() if yy and Fraction(2 * yy, n) >= floor]
+        dense.append(sorted(eligible, key=lambda c: counts[c][0], reverse=True) + [None])
+    return dense
 
 
 @pytest.mark.parametrize("seed", range(230))
 def test_preferences_match_dense_stable_sort(seed):
+    # Each F is a threshold, as are its two neighbouring doubles, so a cell
+    # meets thresholds just above, at and just below its own F.
     table = _oracle_table(seed)
     cells = table.cells
     rng = random.Random(seed)
     exact = sorted({f for row in cells for f in row})
-    for threshold in (0.0, 1.0, rng.random(), rng.random(), *exact):
+    near = [math.nextafter(f, to) for f in exact for to in (0.0, 1.0)]
+    for threshold in (0.0, 1.0, rng.random(), rng.random(), *exact, *near):
         prefs = _preferences(table, threshold)
         assert [[cell[0] for cell in ranked] for ranked in prefs] == (
-            _dense_preferences(cells, threshold)
+            _dense_preferences(table, threshold)
         )
         for row, ranked in zip(cells, prefs):
             assert ranked[-1] == (None, 0.0, 0, 1)
@@ -399,6 +405,46 @@ def test_threshold_out_of_range_rejected():
         for threshold in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="threshold must be in"):
                 solve(table_of([[0.5]]), threshold)
+
+
+@pytest.mark.parametrize(
+    "size, words, below, at",
+    [
+        # F = 5/6, whose double, printed 0.8333333333333334, lies above 5/6
+        (5, 7, 0.8333333333333333, 0.8333333333333334),
+        # F = 2/3, whose double, printed 0.6666666666666666, lies below 2/3
+        (1, 2, 0.6666666666666666, 0.6666666666666667),
+    ],
+    ids=["5/6", "2/3"],
+)
+def test_pair_maps_when_its_exact_f_reaches_the_threshold_decimal(size, words, below, at):
+    # A class of the column's first `size` words. A threshold means its own
+    # decimal: the pair maps at the largest decimal below its exact F and not
+    # at the smallest one above it, whichever of the two prints as F.
+    column = [f"w{i}" for i in range(words)]
+    system = make_clustering(("s", column[:size]))
+    expert = as_flat_hierarchy(make_clustering(("e", column)))
+    table = build_f_table(system, flatten(expert, INHERIT))
+    ((cell,),) = table.rows
+    assert Fraction(repr(below)) < Fraction(2 * cell[2], cell[3]) < Fraction(repr(at))
+    assert cell[1] in (below, at)
+    for solve in (resolve_conflicts, brute_force_mapping):
+        assert solve(table, below).pairs == ((0, 0, cell[1], cell[2]),)
+        assert solve(table, at).pairs == ()
+    assert initial_potentials(table, below) == (0,)
+    assert initial_potentials(table, at) == (None,)
+
+
+@given(st.floats(0.0, 1.0))
+def test_decimal_is_the_exact_value_of_a_float_repr(x):
+    text = repr(x)
+    m, e = _decimal(text)
+    assert Fraction(m) * Fraction(10) ** e == Fraction(text)
+    assert m % 10 or (m, e) == (0, 0)
+    for spelling in (f"{m}e{e}", f"+{m}_0E{e - 1}", f" 0{text} "):
+        assert float(spelling) == x
+        assert _decimal(spelling) == (m, e)
+    assert _decimal(f"{m}1e{e - 1}") != (m, e)
 
 
 def test_resolve_two_row_conflict_minimal_loss_remaps():
