@@ -11,6 +11,7 @@ expert column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .mapping import DEFAULT_THRESHOLD, MappingResult, build_f_table, resolve_conflicts
 from .metrics import ContingencyTable, Scores, f_measure, scores
@@ -71,7 +72,7 @@ def aggregate(
     per_pair: list[PairOutcome] = []
     for row, col, f, shared in mapping.pairs:
         cls = system.classes[row]
-        column = columns[col]
+        column = columns.columns[col]
         if shared > min(len(cls), column.size) or f_measure(shared, len(cls), column.size) != f:
             raise ValueError("mapping does not match this system clustering and column list")
         table = ContingencyTable(shared, len(cls) - shared, column.size - shared)
@@ -80,15 +81,12 @@ def aggregate(
     unmapped_system = tuple(
         (system.classes[row].label, len(system.classes[row])) for row in mapping.unmapped_rows
     )
-    unmapped_expert = tuple(
-        (columns[col].path, columns[col].size)
-        for col in mapping.unmapped_cols
-        if counted is None or counted(col)
-    )
+    unmapped = mapping.unmapped_cols if counted is None else filter(counted, mapping.unmapped_cols)
+    unmapped_expert = tuple(map(columns._path_sizes.__getitem__, unmapped))
     # The check above puts each system class in exactly one pair or in the
     # unmapped rows, so every incidence not counted as yy is yn.
     yy = sum(pair.table.yy for pair in per_pair)
-    ny = sum(pair.table.ny for pair in per_pair) + sum(size for _, size in unmapped_expert)
+    ny = sum(pair.table.ny for pair in per_pair) + sum(map(itemgetter(1), unmapped_expert))
     overall = ContingencyTable(yy, system.total_incidences() - yy, ny)
     return EvaluationReport(
         overall=overall,

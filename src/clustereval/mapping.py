@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -76,15 +77,29 @@ class MappingResult:
     trace: tuple[RemapEvent, ...]
 
 
-def _decimal(text: str) -> tuple[int, int]:
+def _decimal(text: str) -> tuple[int, int] | None:
     """A numeral that ``float`` accepts as (m, e), its exact value m·10^e with m 0
-    or no multiple of 10: equal values give equal pairs, and no power of ten."""
+    or no multiple of 10: equal values give equal pairs, and no power of ten.
+
+    None when no double's ``repr`` has that value: the numeral has more than
+    17 significant digits, or it is nonzero and its exponent has more than 20
+    digits, more than the length of any string can offset. Zeros are stripped
+    as text, so ``int`` never reads more than 20 digits.
+    """
     mantissa, _, exponent = text.strip().lower().replace("_", "").partition("e")
     whole, _, fraction = mantissa.partition(".")
-    m, e = int(whole + fraction), int(exponent or 0) - len(fraction)
-    while m and not m % 10:
-        m, e = m // 10, e + 1
-    return (m, e) if m else (0, 0)
+    digits = (whole.lstrip("+-") + fraction).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return (0, 0)
+    power = exponent.lstrip("+-").lstrip("0")
+    if len(significant) > 17 or len(power) > 20:
+        return None
+    m = -int(significant) if whole.startswith("-") else int(significant)
+    e = int(power or 0)
+    if exponent.startswith("-"):
+        e = -e
+    return m, e - len(fraction) + len(digits) - len(significant)
 
 
 # A ranked cell, and the end of every preference list: dropping out, F 0.0.
@@ -101,11 +116,13 @@ def _result(
     """Package each row's cell, or ``_DROP`` when the row is unmapped, as a
     MappingResult."""
     pairs = tuple((r, c, f, yy) for r, (c, f, yy, _) in enumerate(current) if c is not None)
-    mapped_cols = {pair[1] for pair in pairs}
+    free = [True] * table.n_cols
+    for pair in pairs:
+        free[pair[1]] = False
     return MappingResult(
         pairs=pairs,
         unmapped_rows=tuple(row for row, cell in enumerate(current) if cell[0] is None),
-        unmapped_cols=tuple(col for col in range(table.n_cols) if col not in mapped_cols),
+        unmapped_cols=tuple(compress(range(table.n_cols), free)),
         threshold=threshold,
         trace=trace,
     )

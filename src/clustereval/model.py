@@ -13,7 +13,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
+from operator import attrgetter
 from typing import NoReturn
 
 INHERIT = "inherit"
@@ -119,6 +119,12 @@ class ColumnList:
     def __getitem__(self, index: int) -> Column:
         return self.columns[index]
 
+    @cached_property
+    def _path_sizes(self) -> tuple[tuple[tuple[str, ...], int], ...]:
+        """Each column's (path, size), built once: ``aggregate`` reports the
+        unmapped columns as these pairs at every threshold."""
+        return tuple(map(attrgetter("path", "size"), self.columns))
+
     def is_top_level(self, index: int) -> bool:
         return len(self.columns[index].path) == 1
 
@@ -146,25 +152,32 @@ def _clean_string(value: object, location: str, what: str) -> str:
 
 
 def _parse_members(raw: object, location: str, allow_empty: bool) -> tuple[str, ...]:
-    """Validate a member list with a few whole-list passes, no call per word.
+    """Validate a member list in four whole-list passes, no call per word.
 
-    Any failed pass hands the list to ``_raise_member_error``, which walks it
-    item by item to raise the first error at its JSON path.
+    Any failed check hands the list to ``_raise_member_error``, which walks
+    it item by item to raise the first error at its JSON path.
     """
     if raw is None:
         raw = []
     if not isinstance(raw, list):
         raise DocumentError(location, "members must be an array of strings")
-    if not all(map(isinstance, raw, repeat(str))):
+    try:
+        joined = "".join(raw)  # the type check: a non-string item raises
+    except TypeError:
         _raise_member_error(raw, location)
-    words = list(map(str.strip, raw))
-    if not "".join(words).isascii():  # ASCII text is already NFC and valid UTF-8
-        words = list(map(partial(unicodedata.normalize, "NFC"), words))
+    words = raw
+    # str.split and str.strip agree on whitespace, so text without any has
+    # nothing to strip
+    if joined.split() != [joined]:
+        words = list(map(str.strip, raw))
+    if not joined.isascii():  # ASCII text is already NFC and valid UTF-8
         try:
-            "".join(words).encode("utf-8")  # fails on a lone surrogate
+            joined.encode("utf-8")  # fails on a lone surrogate, which NFC keeps
         except UnicodeEncodeError:
             _raise_member_error(raw, location)
-    if not all(words) or len(set(words)) != len(words):
+        words = list(map(partial(unicodedata.normalize, "NFC"), words))
+    unique = set(words)
+    if len(unique) != len(words) or "" in unique:
         _raise_member_error(raw, location)
     if not words and not allow_empty:
         raise DocumentError(location, "class has no members")
@@ -233,31 +246,34 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
     """
     name, raw_roots = _parse_document(text)
     labels: set[str] = set()
-
-    def parse_node(raw: object, loc: str, depth: int) -> HierarchyNode:
-        if depth > _MAX_DEPTH:
-            raise DocumentError(loc, f"hierarchy is nested deeper than {_MAX_DEPTH} levels")
-        if not isinstance(raw, dict):
-            raise DocumentError(loc, "node must be an object")
-        label = _clean_string(raw.get("label"), f"{loc}.label", "label")
-        if "/" in label:
-            raise DocumentError(f"{loc}.label", f"label {label!r} contains '/'")
-        if label in labels:
-            raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
-        labels.add(label)
-        members = _parse_members(raw.get("members"), f"{loc}.members", allow_empty=True)
-        raw_children = raw.get("children", [])
-        if not isinstance(raw_children, list):
-            raise DocumentError(f"{loc}.children", "children must be an array")
-        children = tuple(
-            parse_node(c, f"{loc}.children[{j}]", depth + 1) for j, c in enumerate(raw_children)
-        )
-        if not members and not children:
-            raise DocumentError(loc, f"node {label!r} has neither members nor children")
-        return HierarchyNode(label, members, children)
-
-    roots = tuple(parse_node(raw, f"$.classes[{i}]", 1) for i, raw in enumerate(raw_roots))
+    roots = tuple(_parse_node(raw, f"$.classes[{i}]", 1, labels) for i, raw in enumerate(raw_roots))
     return ExpertHierarchy(name, roots)
+
+
+def _parse_node(raw: object, loc: str, depth: int, labels: set[str]) -> HierarchyNode:
+    """Parse one node and its subtree, adding their labels to ``labels``. A
+    module-level function, not a closure, so that no reference cycle keeps
+    the parse's state alive."""
+    if depth > _MAX_DEPTH:
+        raise DocumentError(loc, f"hierarchy is nested deeper than {_MAX_DEPTH} levels")
+    if not isinstance(raw, dict):
+        raise DocumentError(loc, "node must be an object")
+    label = _clean_string(raw.get("label"), f"{loc}.label", "label")
+    if "/" in label:
+        raise DocumentError(f"{loc}.label", f"label {label!r} contains '/'")
+    if label in labels:
+        raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
+    labels.add(label)
+    members = _parse_members(raw.get("members"), f"{loc}.members", allow_empty=True)
+    raw_children = raw.get("children", [])
+    if not isinstance(raw_children, list):
+        raise DocumentError(f"{loc}.children", "children must be an array")
+    children = []
+    for j, child in enumerate(raw_children):  # a plain loop: one stack frame per level
+        children.append(_parse_node(child, f"{loc}.children[{j}]", depth + 1, labels))
+    if not members and not children:
+        raise DocumentError(loc, f"node {label!r} has neither members nor children")
+    return HierarchyNode(label, members, tuple(children))
 
 
 def _repeated_words(root: HierarchyNode) -> set[str]:
@@ -294,35 +310,42 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
         raise ValueError(f"unknown flatten mode {mode!r}")
     inherit = mode == INHERIT
     columns: list[Column | None] = []
-
-    def visit(
-        node: HierarchyNode, prefix: tuple[str, ...], repeated: set[str]
-    ) -> tuple[Column, int, set[str]]:
-        """Append the subtree's columns. Return the node's column, the number
-        of the subtree's words that one node of the tree owns, and the set of
-        the subtree's words that several nodes of the tree own."""
-        path = prefix + (node.label,)
-        slot = len(columns)
-        columns.append(None)  # reserve the pre-order position before recursing
-        below = []
-        for child in node.children:  # a plain loop: one stack frame per level
-            below.append(visit(child, path, repeated))
-        own = node.own_members
-        shared = repeated.intersection(own)
-        once = len(own) - len(shared)
-        for _, child_once, child_shared in below:
-            once += child_once
-            shared |= child_shared
-        if inherit:
-            column = Column(path, own, tuple(c for c, _, _ in below), once + len(shared))
-            if not column.size:
-                raise ValueError(f"node {node.label!r} has an empty effective member set")
-        else:
-            column = Column(path, own, (), len(own))
-        columns[slot] = column
-        return column, once, shared
-
     for root in hierarchy.roots:
         # a single node repeats no word, and own-only sizes need no repeats
-        visit(root, (), _repeated_words(root) if inherit and root.children else set())
+        repeated = _repeated_words(root) if inherit and root.children else set()
+        _visit(root, (), repeated, inherit, columns)
     return ColumnList(mode, tuple(columns))  # type: ignore[arg-type]
+
+
+def _visit(
+    node: HierarchyNode,
+    prefix: tuple[str, ...],
+    repeated: set[str],
+    inherit: bool,
+    columns: list[Column | None],
+) -> tuple[Column, int, set[str]]:
+    """Append the subtree's columns to ``columns``. Return the node's column,
+    the number of the subtree's words that one node of the tree owns, and the
+    set of the subtree's words that several nodes of the tree own. A
+    module-level function, not a closure, so that no reference cycle keeps
+    the columns alive."""
+    path = prefix + (node.label,)
+    slot = len(columns)
+    columns.append(None)  # reserve the pre-order position before recursing
+    own = node.own_members
+    shared = repeated.intersection(own) if repeated else set()
+    once = len(own) - len(shared)
+    below = []
+    for child in node.children:  # a plain loop: one stack frame per level
+        column, child_once, child_shared = _visit(child, path, repeated, inherit, columns)
+        below.append(column)
+        once += child_once
+        shared |= child_shared
+    if inherit:
+        column = Column(path, own, tuple(below), once + len(shared))
+        if not column.size:
+            raise ValueError(f"node {node.label!r} has an empty effective member set")
+    else:
+        column = Column(path, own, (), len(own))
+    columns[slot] = column
+    return column, once, shared

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import random
@@ -316,6 +317,10 @@ def test_commands_agree_on_the_exact_threshold(capsys, five_sixths_files, raw, m
         ("0.66666666666666667", "0.6666666666666666"),
         ("1.00000000000000001", "1.0"),
         ("1e-999999999", "0.0"),
+        # past the 4,300 digits that int() reads: an exponent too long to
+        # matter, and more significant digits than any double's repr
+        pytest.param("1e-" + "9" * 5000, "0.0", id="5000-digit-exponent"),
+        pytest.param("0." + "1" * 5000, "0.1111111111111111", id="5000-significant-digits"),
     ],
 )
 def test_threshold_that_no_double_holds_is_a_usage_error(capsys, golden_files, raw, nearest):
@@ -335,7 +340,16 @@ def test_threshold_that_no_double_holds_is_a_usage_error(capsys, golden_files, r
 
 
 @pytest.mark.parametrize(
-    "raw, echo", [("+.2", "0.2"), ("0.20", "0.2"), ("2e-1", "0.2"), ("0.2_0", "0.2")]
+    "raw, echo",
+    [
+        ("+.2", "0.2"),
+        ("0.20", "0.2"),
+        ("2e-1", "0.2"),
+        ("0.2_0", "0.2"),
+        # zeros past the 4,300 digits that int() reads
+        pytest.param("0." + "0" * 5000, "0", id="0.-then-5000-zeros"),
+        pytest.param("0.2" + "0" * 5000, "0.2", id="0.2-then-5000-zeros"),
+    ],
 )
 def test_threshold_spellings_of_a_double_are_accepted(capsys, golden_files, raw, echo):
     # -0 is test_negative_zero_threshold_echoes_as_zero's case.
@@ -822,3 +836,86 @@ def test_no_command_builds_an_inherited_word_set(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(model.Column, "members", property(members))
     assert [run(capsys, *command, *io_args) for command in commands] == expected
+
+
+def _cyclic_garbage(action) -> int:
+    """How many objects the cyclic collector finds after ``action()``, run
+    with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("evaluate", "--trace"),
+        ("evaluate", "--trace", "--unmapped-cols", "leaves"),
+        ("table", "--trace"),
+        ("sweep", "--thresholds", "0,0.2,0.5"),
+        ("baseline",),
+        ("evaluate", "--trace", "--format", "json"),
+        ("table", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, command):
+    # cli.main pauses the collector for the command, so the parsed trees,
+    # columns and tables must be freed by reference counting alone. The
+    # parser is cyclic and is built first; json.dumps(indent=2) builds
+    # closures that refer to each other, the one cycle a JSON report adds.
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(
+        clustering_doc([("S1", ["a", "b", "c"]), ("S2", ["d", "e"]), ("S3", ["zzz"])]),
+        encoding="utf-8",
+    )
+    tree = node("A", ["a"], [node("B", ["b", "c"], [node("C", ["d"])]), node("D", ["e", "f"])])
+    expert.write_text(hierarchy_doc([tree, node("E", ["g"])]), encoding="utf-8")
+    if command[0] == "baseline":
+        expert = system
+    argv = [*command, "--system", str(system), "--expert", str(expert)]
+    args = cli.build_parser().parse_args(argv)
+    assert args.func(args) == 0  # a first run, so that one-time set-up is not counted
+    out = capsys.readouterr().out
+    garbage = _cyclic_garbage(lambda: args.func(args))
+    assert capsys.readouterr().out == out
+    if "json" in command:
+        assert garbage == _cyclic_garbage(lambda: json.dumps(json.loads(out), indent=2))
+    else:
+        assert garbage == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, tmp_path, golden_files, enabled
+):
+    system, expert = golden_files
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]", encoding="utf-8")
+    during = []
+
+    def fail(*_):
+        during.append(gc.isenabled())
+        raise RuntimeError("planted fault")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "evaluate", "--system", system, "--expert", expert)[0] == 0
+        assert gc.isenabled() == enabled
+        assert run(capsys, "evaluate", "--system", system, "--expert", str(bad))[0] == 2
+        assert gc.isenabled() == enabled
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_f_table", fail)
+            assert run(capsys, "evaluate", "--system", system, "--expert", expert)[0] == 1
+        assert gc.isenabled() == enabled
+        assert during == [False]  # the command itself ran with the collector paused
+    finally:
+        (gc.enable if was else gc.disable)()

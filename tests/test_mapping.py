@@ -441,7 +441,9 @@ def test_decimal_is_the_exact_value_of_a_float_repr(x):
     m, e = _decimal(text)
     assert Fraction(m) * Fraction(10) ** e == Fraction(text)
     assert m % 10 or (m, e) == (0, 0)
-    for spelling in (f"{m}e{e}", f"+{m}_0E{e - 1}", f" 0{text} "):
+    # zeros past the 4,300 digits that int() reads are stripped as text
+    zeros = "0" * 5000
+    for spelling in (f"{m}e{e}", f"+{m}_0E{e - 1}", f" 0{text} ", f"{zeros}{m}{zeros}e{e - 5000}"):
         assert float(spelling) == x
         assert _decimal(spelling) == (m, e)
     assert _decimal(f"{m}1e{e - 1}") != (m, e)

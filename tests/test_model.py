@@ -538,15 +538,16 @@ def _parsed(parse, text):
 
 # Spellings that differ only by padding or normalization: "\u00e9" and
 # "e\u0301" are one word after NFC, and so are "\u00c5", "A\u030a" and the
-# angstrom sign "\u212b".
-PADDING = ["", " ", "\t", "\n", "\u00a0", "\u3000"]
+# angstrom sign "\u212b". The padding includes whitespace that is neither
+# ASCII space nor a tab or newline: "\x0b", "\x1c", "\x85" and "\u2028".
+PADDING = ["", " ", "\t", "\n", "\x0b", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"]
 SPELLINGS = ["\u00e9", "e\u0301", "caf\u00e9", "cafe\u0301", "\u00c5", "A\u030a", "\u212b"]
 member_values = st.one_of(
     st.text("abc", min_size=1, max_size=3),
     st.builds(
         lambda left, word, right: left + word + right,
         st.sampled_from(PADDING),
-        st.sampled_from(["a", "ab"] + SPELLINGS),
+        st.sampled_from(["a", "ab", "a b"] + SPELLINGS),
         st.sampled_from(PADDING),
     ),
     st.sampled_from(SPELLINGS),
@@ -564,6 +565,7 @@ member_lists = st.lists(member_values, max_size=8)
 @example([["a", None, "\ud800", "a", ""]])  # the first bad index wins
 @example([["\u212b", "\ud800", "A\u030a"]])
 @example([["ok"], []])
+@example([[" a", "a b\x85"], ["a", "b"]])  # only the first list needs stripping
 def test_parse_clustering_matches_per_item_oracle(lists):
     text = clustering_doc([(f"C{i}", m) for i, m in enumerate(lists)], name="n")
 
@@ -586,6 +588,7 @@ def test_parse_clustering_matches_per_item_oracle(lists):
 @example([], [[]])
 @example([" b "], [["b", "\u00a0b"]])
 @example(["x"], [["\u00e9", "e\u0301"], ["A\u030a", "\u212b"]])
+@example(["a\u2028", "b"], [["a", "b"], ["\x1ca b"]])  # stripping needed, not, needed
 def test_parse_hierarchy_matches_per_item_oracle(root, children):
     kid_docs = [node(f"K{j}", m) for j, m in enumerate(children)]
     text = hierarchy_doc([node("R", root, kid_docs)], name="n")
