@@ -1,9 +1,10 @@
 """Command-line front end: evaluate, table, sweep, and baseline commands.
 
-All reports are rendered into one string and written in a single step, so
-identical inputs and flags always produce byte-identical output. Text
-reports round precision/recall to two-decimal percentages and F to two
-decimals; JSON reports carry full precision.
+Each ``cmd_*`` returns its whole report as one string, and ``main`` alone
+writes it, once, to stdout as UTF-8 on every locale, so identical inputs and
+flags always produce byte-identical output. Text reports round
+precision/recall to two-decimal percentages and F to two decimals; JSON
+reports carry full precision.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores its previous state on the way out. The pause is safe because the
@@ -234,9 +235,9 @@ def table_to_dict(
     doc = {
         "expert": expert_path,
         "threshold": mapping.threshold,
-        "rows": list(table.row_labels),
+        "rows": table.row_labels,
         "columns": [_path_str(p) for p in table.col_paths],
-        "cells": [list(row) for row in table.cells],
+        "cells": table.cells,
         "mapping": {
             "pairs": [
                 {
@@ -271,20 +272,18 @@ def _experts(
             yield system, expert_path, columns, table, resolve_conflicts(table, threshold)
 
 
-def _write_report(args: argparse.Namespace, items: list, summary: Sequence = ()) -> int:
-    """Write per-expert JSON documents, or text blocks plus the (path, report)
-    summary when there is more than one expert, as one output."""
+def _report(args: argparse.Namespace, items: list, summary: Sequence = ()) -> str:
+    """Per-expert JSON documents, or text blocks plus the (path, report)
+    summary when there is more than one expert, as one report."""
     if args.format == "json":
-        out = json.dumps({"system": args.system, "experts": items}, indent=2) + "\n"
-    else:
-        out = "\n".join(items)
-        if len(summary) > 1:
-            out += "\n" + render_summary_text(summary)
-    sys.stdout.write(out)
-    return 0
+        return json.dumps({"system": args.system, "experts": items}, indent=2) + "\n"
+    out = "\n".join(items)
+    if len(summary) > 1:
+        out += "\n" + render_summary_text(summary)
+    return out
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> str:
     items: list = []
     summary: list[tuple[str, EvaluationReport]] = []
     for system, expert_path, columns, table, mapping in _experts(args, [args.threshold]):
@@ -295,10 +294,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             block = render_evaluation_text(args.system, expert_path, report)
             items.append(block + render_trace_text(table, mapping) if args.trace else block)
-    return _write_report(args, items, summary)
+    return _report(args, items, summary)
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> str:
     items: list = []
     for _system, expert_path, _columns, table, mapping in _experts(args, [args.threshold]):
         if args.format == "json":
@@ -306,10 +305,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         else:
             block = render_table_text(args.system, expert_path, table, mapping)
             items.append(block + render_trace_text(table, mapping) if args.trace else block)
-    return _write_report(args, items)
+    return _report(args, items)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> str:
     out = io.StringIO()
     out.write(SWEEP_HEADER + "\n")
     rows = csv.writer(out, lineterminator="\n")
@@ -318,11 +317,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.writerow(
             [expert_path, mapping.threshold, len(mapping.pairs), s.precision, s.recall, s.f_measure]
         )
-    sys.stdout.write(out.getvalue())
-    return 0
+    return out.getvalue()
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
+def cmd_baseline(args: argparse.Namespace) -> str:
     system = _load(args.system, parse_clustering)
     expert = _load(args.expert, parse_clustering)
     table, s = pair_baseline(system, expert)
@@ -336,8 +334,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             lines.append(
                 f"warning: {path} is not a partition; overlapping pairs were deduplicated"
             )
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _threshold_arg(raw: str) -> float:
@@ -424,7 +421,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # the command builds no reference cycles; see the module docstring
     try:
-        return args.func(args)
+        text = args.func(args)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only stream, such as an io.StringIO
+            sys.stdout.write(text)
+        else:  # UTF-8 whatever the locale; an argv path's undecodable bytes as they came
+            sys.stdout.flush()
+            out.write(text.encode("utf-8", "surrogateescape"))
+        return 0
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
-from .model import Clustering, ColumnList
+from .model import INHERIT, Clustering, ColumnList
 
 DEFAULT_THRESHOLD = 0.20
 BRUTE_FORCE_LIMIT = 8
@@ -138,14 +138,15 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     out of their groups, one new group per old group it touches, whose
     columns are the old group's columns and the column's lineage. The
     lineage is the column and, under ``inherit``, its ancestor columns, since
-    a column holds every word of its descendants; a column hands it to its
-    child columns by identity. Each system class counts its words per group
-    and adds each group's count to the group's columns. The build costs one
-    set intersection per column, one group move per vocabulary word that a
-    column owns, one new group per (column, old group) pair, and, per class,
-    one count per word, one addition per column of each group the class
-    touches and one sort of its nonzero cells; no row holds a cell for a
-    column it shares no word with. A cell's yy and F are
+    a column holds every word of its descendants. In pre-order those
+    ancestors are the first ``len(path) - 1`` open columns, so the lineage is
+    read from depth, never from a label. Each system class counts its words
+    per group and adds each group's count to the group's columns. The build
+    costs one set intersection per column, one group move per vocabulary word
+    that a column owns, one new group per (column, old group) pair, and, per
+    class, one count per word, one addition per column of each group the
+    class touches and one sort of its nonzero cells; no row holds a cell for
+    a column it shares no word with. A cell's yy and F are
     ``contingency(a, b).yy`` and ``f_measure`` of it for the class and column
     word sets; pairs that share no word score 0.0 and are not stored.
     """
@@ -155,11 +156,11 @@ def build_f_table(system: Clustering, columns: ColumnList) -> FTable:
     vocab = frozenset().union(*(cls.members for cls in system.classes))
     group = dict.fromkeys(vocab, 0)  # a word -> its group id
     spans: list[frozenset[int]] = [frozenset()]  # a group id -> its columns
-    above: dict[int, tuple[int, ...]] = {}  # id() of a child column -> its parent's lineage
+    inherit = columns.mode == INHERIT
+    lineage: list[int] = []  # the open columns, root first
     for col, column in enumerate(columns):
-        lineage = (col, *above.pop(id(column), ()))
-        for child in column.children:
-            above[id(child)] = lineage
+        del lineage[len(column.path) - 1 if inherit else 0 :]
+        lineage.append(col)
         split: dict[int, int] = {}  # an old group -> the new group its words move to
         for word in vocab.intersection(column.own):
             old = group[word]

@@ -4,7 +4,12 @@ import csv
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -882,10 +887,12 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, command):
         expert = system
     argv = [*command, "--system", str(system), "--expert", str(expert)]
     args = cli.build_parser().parse_args(argv)
-    assert args.func(args) == 0  # a first run, so that one-time set-up is not counted
-    out = capsys.readouterr().out
-    garbage = _cyclic_garbage(lambda: args.func(args))
-    assert capsys.readouterr().out == out
+    out = args.func(args)  # a first run, so that one-time set-up is not counted
+    assert isinstance(out, str) and out
+    again: list[str] = []
+    garbage = _cyclic_garbage(lambda: again.append(args.func(args)))
+    assert again == [out]
+    assert capsys.readouterr().out == ""  # a command returns its report; only main writes it
     if "json" in command:
         assert garbage == _cyclic_garbage(lambda: json.dumps(json.loads(out), indent=2))
     else:
@@ -919,3 +926,85 @@ def test_main_leaves_the_collector_as_it_found_it(
         assert during == [False]  # the command itself ran with the collector paused
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# The one writer: main encodes each report once as UTF-8 and writes the bytes,
+# so the locale's encoding, which PYTHONIOENCODING overrides, is no input.
+ENCODINGS = ("ascii", "latin-1", "utf-16", "utf-8:strict")
+WRITER_COMMANDS = [
+    ("evaluate",),
+    ("evaluate", "--format", "json", "--trace"),
+    ("table", "--trace"),
+    ("sweep", "--thresholds", "0.2,0.5"),
+    ("baseline",),
+]
+
+
+@pytest.fixture
+def non_ascii_files(tmp_path):
+    """A system with a class labelled é and a hierarchy with a label outside
+    the BMP, in a directory whose name is not ASCII either."""
+    home = tmp_path / "Ω-𝔸"
+    home.mkdir()
+    system = home / "s.json"
+    tree = home / "tree.json"
+    system.write_text(clustering_doc([("é", ["a", "b", "c"]), ("S2", ["d", "e"])]), "utf-8")
+    tree.write_text(
+        hierarchy_doc([node("𝔸", ["a"], [node("B", ["b", "c"])]), node("D", ["d"])]), "utf-8"
+    )
+    return system, tree
+
+
+def _writer_argv(command, files) -> list[str]:
+    system, tree = files
+    expert = system if command[0] == "baseline" else tree  # baseline takes flat inputs only
+    return [*command, "--system", str(system), "--expert", str(expert)]
+
+
+def _run_child(argv, encoding: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": encoding}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "clustereval", *argv]
+    return subprocess.run(command, env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("command", WRITER_COMMANDS, ids=" ".join)
+def test_stdout_is_utf8_on_every_encoding(non_ascii_files, command):
+    argv = _writer_argv(command, non_ascii_files)
+    outputs = set()
+    for encoding in ENCODINGS:
+        proc = _run_child(argv, encoding)
+        assert proc.returncode == 0, (encoding, proc.stderr)
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    text = out.decode("utf-8")
+    if "json" in command:  # JSON reports escape every non-ASCII character
+        text = json.dumps(json.loads(text), ensure_ascii=False)
+    assert "Ω-𝔸" in text
+    assert ("é" in text) == (command[0] in ("evaluate", "table"))
+
+
+def test_sweep_echoes_an_undecodable_path_byte(non_ascii_files, tmp_path):
+    system, tree = non_ascii_files
+    odd = tmp_path / os.fsdecode(b"tree\xff.json")
+    try:
+        odd.write_bytes(tree.read_bytes())
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system refuses the name")
+    argv = [b"sweep", b"--thresholds", b"0.2", b"--system", os.fsencode(system), b"--expert"]
+    proc = _run_child([*argv, os.fsencode(odd)], "utf-8:strict")
+    assert proc.returncode == 0, proc.stderr
+    assert b"tree\xff.json," in proc.stdout
+
+
+@pytest.mark.parametrize("command", WRITER_COMMANDS, ids=" ".join)
+def test_main_writes_the_report_to_a_text_only_stdout(capsys, non_ascii_files, command):
+    # An io.StringIO has no byte buffer, so main writes the text itself.
+    argv = _writer_argv(command, non_ascii_files)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    sink = io.StringIO()
+    with redirect_stdout(sink):
+        assert main(argv) == 0
+    assert sink.getvalue() == out
