@@ -338,6 +338,8 @@ def cmd_baseline(args: argparse.Namespace) -> str:
 
 
 def _threshold_arg(raw: str) -> float:
+    if not raw.strip().isascii():  # float() reads every script's digits, _decimal ASCII's
+        raise argparse.ArgumentTypeError(f"threshold must be written in ASCII, got {raw!r}")
     try:
         value = float(raw)
     except ValueError:

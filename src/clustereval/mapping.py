@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import itemgetter
@@ -78,7 +77,7 @@ class MappingResult:
 
 
 def _decimal(text: str) -> tuple[int, int] | None:
-    """A numeral that ``float`` accepts as (m, e), its exact value m·10^e with m 0
+    """An ASCII numeral ``float`` accepts as (m, e), its exact value m·10^e with m 0
     or no multiple of 10: equal values give equal pairs, and no power of ten.
 
     None when no double's ``repr`` has that value: the numeral has more than
@@ -288,22 +287,23 @@ def brute_force_mapping(table: FTable, threshold: float = DEFAULT_THRESHOLD) -> 
             f"instance too large to enumerate: {n}x{m} exceeds "
             f"{BRUTE_FORCE_LIMIT}x{BRUTE_FORCE_LIMIT}"
         )
+    return _result(table, list(_best(0, 0, eligible, {})[1]), threshold)
 
-    @cache
-    def best(r: int, used: int) -> tuple[float, tuple[_Cell, ...]]:
-        """Max total F over rows r.. with the columns in ``used`` taken, and
-        the first cells chosen that reach it: free columns ascending, then
-        unmapped."""
-        if r == n:
-            return 0.0, ()
+
+def _best(r: int, used: int, eligible: list[list[_Cell]], memo: dict) -> tuple:
+    """Max total F over rows r.. with the columns in ``used`` taken, and the
+    first cells chosen that reach it (free columns ascending, then unmapped),
+    memoized in ``memo``: no closure that refers to itself, so no cycle."""
+    if r == len(eligible):
+        return 0.0, ()
+    if (r, used) not in memo:
         options = []
         for cell in eligible[r]:
             bit = 1 << cell[0]
             if not used & bit:
-                total, rest = best(r + 1, used | bit)
+                total, rest = _best(r + 1, used | bit, eligible, memo)
                 options.append((cell[1] + total, (cell, *rest)))
-        total, rest = best(r + 1, used)
+        total, rest = _best(r + 1, used, eligible, memo)
         options.append((total, (_DROP, *rest)))
-        return max(options, key=itemgetter(0))  # the first maximal option
-
-    return _result(table, list(best(0, 0)[1]), threshold)
+        memo[r, used] = max(options, key=itemgetter(0))  # the first maximal option
+    return memo[r, used]

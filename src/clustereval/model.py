@@ -81,26 +81,19 @@ class ExpertHierarchy:
 @dataclass(frozen=True)
 class Column:
     """One flattened hierarchy node: its label path, its node's own words,
-    its child columns (``inherit`` mode only; out of ``repr`` and ``==``, which
-    would recurse once per level) and the size of its effective word set."""
+    under ``inherit`` its node's parsed ``children`` tuple (out of ``repr`` and
+    ``==``, which would recurse once per level) and its effective set's size."""
 
     path: tuple[str, ...]
     own: tuple[str, ...]
-    children: tuple["Column", ...] = field(repr=False, compare=False)
+    children: tuple[HierarchyNode, ...] = field(repr=False, compare=False)
     size: int
 
     @cached_property
     def members(self) -> frozenset[str]:
         """The effective word set: this column's own words and those of every
-        column below it, gathered by a loop, not one call per level. No
-        command builds it: a mapped pair's counts come from its cell's yy."""
-        owns = []
-        stack = [self]
-        while stack:
-            column = stack.pop()
-            owns.append(column.own)
-            stack.extend(column.children)
-        return frozenset().union(*owns)
+        node below it. No command builds it: a pair's counts are its cell's."""
+        return frozenset().union(self.own, *_owned(self.children))
 
 
 @dataclass(frozen=True)
@@ -276,14 +269,21 @@ def _parse_node(raw: object, loc: str, depth: int, labels: set[str]) -> Hierarch
     return HierarchyNode(label, members, tuple(children))
 
 
-def _repeated_words(root: HierarchyNode) -> set[str]:
-    """The words that two or more nodes of the tree under ``root`` own."""
+def _owned(nodes: tuple[HierarchyNode, ...]) -> list[tuple[str, ...]]:
+    """The own words of every node in the trees under ``nodes``, gathered by a
+    loop, not one call per level."""
     owns = []
-    stack = [root]
+    stack = list(nodes)
     while stack:
         node = stack.pop()
         owns.append(node.own_members)
         stack.extend(node.children)
+    return owns
+
+
+def _repeated_words(root: HierarchyNode) -> set[str]:
+    """The words that two or more nodes of the tree under ``root`` own."""
+    owns = _owned((root,))
     if len(set().union(*owns)) == sum(map(len, owns)):  # a node's own words are distinct
         return set()
     seen: set[str] = set()
@@ -301,7 +301,7 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
     node's own words and all its descendants' words, so a parent contains
     each of its subclasses. In ``own-only`` mode it is just the node's own
     words. No command builds that union: each column keeps its own words
-    and, in ``inherit`` mode, its child columns. The sizes come bottom-up:
+    and, in ``inherit`` mode, its node's children. The sizes come bottom-up:
     a word that one node of a tree owns adds 1 to each column on that
     node's path to the root, and only the words that several nodes of one
     tree own are carried up, as small sets, so each counts once per subtree.
@@ -323,29 +323,24 @@ def _visit(
     repeated: set[str],
     inherit: bool,
     columns: list[Column | None],
-) -> tuple[Column, int, set[str]]:
-    """Append the subtree's columns to ``columns``. Return the node's column,
-    the number of the subtree's words that one node of the tree owns, and the
-    set of the subtree's words that several nodes of the tree own. A
-    module-level function, not a closure, so that no reference cycle keeps
-    the columns alive."""
+) -> tuple[int, set[str]]:
+    """Append the subtree's columns to ``columns``. Return the number of the
+    subtree's words that one node of the tree owns, and the set of the
+    subtree's words that several nodes of the tree own. A module-level
+    function, not a closure, so that no reference cycle keeps the columns
+    alive."""
     path = prefix + (node.label,)
     slot = len(columns)
     columns.append(None)  # reserve the pre-order position before recursing
     own = node.own_members
     shared = repeated.intersection(own) if repeated else set()
     once = len(own) - len(shared)
-    below = []
     for child in node.children:  # a plain loop: one stack frame per level
-        column, child_once, child_shared = _visit(child, path, repeated, inherit, columns)
-        below.append(column)
+        child_once, child_shared = _visit(child, path, repeated, inherit, columns)
         once += child_once
         shared |= child_shared
-    if inherit:
-        column = Column(path, own, tuple(below), once + len(shared))
-        if not column.size:
-            raise ValueError(f"node {node.label!r} has an empty effective member set")
-    else:
-        column = Column(path, own, (), len(own))
-    columns[slot] = column
-    return column, once, shared
+    size = once + len(shared) if inherit else len(own)
+    if inherit and not size:
+        raise ValueError(f"node {node.label!r} has an empty effective member set")
+    columns[slot] = Column(path, own, node.children if inherit else (), size)
+    return once, shared

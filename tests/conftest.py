@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import combinations
 
@@ -60,6 +61,20 @@ def beneath_frames(func, *args, frames=300):
     if frames:
         return beneath_frames(func, *args, frames=frames - 1)
     return func(*args)
+
+
+def cyclic_garbage(action) -> int:
+    """How many objects the cyclic collector finds after ``action()``, run
+    with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def make_clustering(*classes, name="fixture") -> Clustering:

@@ -23,6 +23,7 @@ from conftest import (
     beneath_frames,
     chain_doc,
     clustering_doc,
+    cyclic_garbage,
     dyadic_cell,
     hierarchy_doc,
     node,
@@ -331,8 +332,13 @@ def test_commands_agree_on_the_exact_threshold(capsys, five_sixths_files, raw, m
 def test_threshold_that_no_double_holds_is_a_usage_error(capsys, golden_files, raw, nearest):
     # Each parses to a double in [0, 1] whose own decimal differs from the
     # typed one; 1e-999999999 is judged without computing 10**999999999.
-    system, expert = golden_files
     reason = f"no double holds {raw} exactly; the nearest is {nearest}"
+    assert_threshold_refused(capsys, golden_files, raw, reason)
+
+
+def assert_threshold_refused(capsys, golden_files, raw, reason):
+    """Every command that takes a threshold exits 2 on ``raw`` and names the reason."""
+    system, expert = golden_files
     for flag, value, command in (
         ("--threshold", raw, "evaluate"),
         ("--threshold", raw, "table"),
@@ -345,12 +351,31 @@ def test_threshold_that_no_double_holds_is_a_usage_error(capsys, golden_files, r
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [
+        "\u0660.\u0662\u0660",  # Arabic-Indic digits
+        "\uff10.\uff12\uff10",  # fullwidth digits
+        "\u0660.\u0662",
+        "\uff10.\uff12",
+        "\u0660",
+    ],
+    ids=["arabic-indic-0.20", "fullwidth-0.20", "arabic-indic-0.2", "fullwidth-0.2", "arabic-0"],
+)
+def test_threshold_not_written_in_ascii_is_a_usage_error(capsys, golden_files, raw):
+    # float() reads the digits of any script, but a threshold's decimal is
+    # read from ASCII only, so every such spelling is refused, not just some.
+    reason = f"threshold must be written in ASCII, got {raw!r}"
+    assert_threshold_refused(capsys, golden_files, raw, reason)
+
+
+@pytest.mark.parametrize(
     "raw, echo",
     [
         ("+.2", "0.2"),
         ("0.20", "0.2"),
         ("2e-1", "0.2"),
         ("0.2_0", "0.2"),
+        pytest.param("\u00a00.2\u3000", "0.2", id="non-ascii-space-around"),
         # zeros past the 4,300 digits that int() reads
         pytest.param("0." + "0" * 5000, "0", id="0.-then-5000-zeros"),
         pytest.param("0.2" + "0" * 5000, "0.2", id="0.2-then-5000-zeros"),
@@ -843,20 +868,6 @@ def test_no_command_builds_an_inherited_word_set(capsys, tmp_path, monkeypatch):
     assert [run(capsys, *command, *io_args) for command in commands] == expected
 
 
-def _cyclic_garbage(action) -> int:
-    """How many objects the cyclic collector finds after ``action()``, run
-    with the collector off."""
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        action()
-        return gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
-
-
 @pytest.mark.parametrize(
     "command",
     [
@@ -890,11 +901,11 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, command):
     out = args.func(args)  # a first run, so that one-time set-up is not counted
     assert isinstance(out, str) and out
     again: list[str] = []
-    garbage = _cyclic_garbage(lambda: again.append(args.func(args)))
+    garbage = cyclic_garbage(lambda: again.append(args.func(args)))
     assert again == [out]
     assert capsys.readouterr().out == ""  # a command returns its report; only main writes it
     if "json" in command:
-        assert garbage == _cyclic_garbage(lambda: json.dumps(json.loads(out), indent=2))
+        assert garbage == cyclic_garbage(lambda: json.dumps(json.loads(out), indent=2))
     else:
         assert garbage == 0
 

@@ -405,6 +405,27 @@ def test_columns_of_a_deep_chain_print_compare_and_hash():
     assert hash(cols) == hash(again)
 
 
+def _preorder(nodes):
+    for n in nodes:
+        yield n
+        yield from _preorder(n.children)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_columns_link_their_parsed_nodes_children(seed):
+    # under inherit a column holds its node's own children tuple, not a copy
+    spec = GenSpec(seed=seed, vocab_size=40, n_classes=2, class_size=(1, 4), hierarchy_depth=3)
+    doc = hierarchy_doc([node_doc(root) for root in gen_hierarchy(spec).roots])
+    h = parse_hierarchy(doc)
+    nodes = list(_preorder(h.roots))
+    assert any(n.children for n in nodes)
+    cols = flatten(h, INHERIT)
+    assert len(cols) == len(nodes)
+    for column, n in zip(cols, nodes):
+        assert column.children is n.children
+    assert [column.children for column in flatten(h, OWN_ONLY)] == [()] * len(nodes)
+
+
 def test_a_hundred_level_document_survives_a_deep_caller_stack():
     # 100 levels is the deepest document parse_hierarchy accepts; its tree
     # must also flatten, print and compare with 300 frames already in use

@@ -8,6 +8,21 @@ from pathlib import Path
 import pytest
 
 import clustereval
+from clustereval import (
+    aggregate,
+    brute_force_mapping,
+    build_f_table,
+    evaluate,
+    flatten,
+    initial_potentials,
+    pair_baseline,
+    parse_clustering,
+    parse_hierarchy,
+    resolve_conflicts,
+)
+from clustereval.model import INHERIT, OWN_ONLY
+
+from conftest import clustering_doc, cyclic_garbage, hierarchy_doc, node
 
 DOCUMENTED = [
     "DocumentError",
@@ -146,3 +161,50 @@ def test_runtime_imports_only_the_standard_library():
         [sys.executable, "-I", "-c", code, src], check=True, capture_output=True, text=True
     )
     assert done.stdout == "[]\n"
+
+
+LIBRARY_CALLS = [
+    "parse_clustering",
+    "parse_hierarchy",
+    "flatten inherit",
+    "flatten own-only",
+    "build_f_table",
+    "resolve_conflicts",
+    "initial_potentials",
+    "brute_force_mapping",
+    "aggregate",
+    "evaluate",
+    "pair_baseline partitions",
+    "pair_baseline overlapping",
+]
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_library_functions_leave_no_cyclic_garbage(call):
+    # What a public function builds is freed by reference counting alone, so
+    # a caller may pause the cyclic collector, as cli.main does.
+    system_doc = clustering_doc([("S1", ["a", "b", "c"]), ("S2", ["d", "e"]), ("S3", ["f", "g"])])
+    tree = node("A", ["a"], [node("B", ["b", "c"], [node("C", ["d", "a"])]), node("D", ["e", "f"])])
+    expert_doc = hierarchy_doc([tree, node("E", ["g"])])
+    system, expert = parse_clustering(system_doc), parse_hierarchy(expert_doc)
+    flat = parse_clustering(clustering_doc([("E1", ["a", "b", "d"]), ("E2", ["c", "e", "f", "g"])]))
+    overlapping = parse_clustering(clustering_doc([("O1", ["a", "b", "c"]), ("O2", ["c", "d"])]))
+    columns = flatten(expert)
+    table = build_f_table(system, columns)
+    mapping = resolve_conflicts(table)
+    calls = {
+        "parse_clustering": lambda: parse_clustering(system_doc),
+        "parse_hierarchy": lambda: parse_hierarchy(expert_doc),
+        "flatten inherit": lambda: [c.members for c in flatten(expert, INHERIT)],
+        "flatten own-only": lambda: [c.members for c in flatten(expert, OWN_ONLY)],
+        "build_f_table": lambda: build_f_table(system, columns),
+        "resolve_conflicts": lambda: resolve_conflicts(table),
+        "initial_potentials": lambda: initial_potentials(table),
+        "brute_force_mapping": lambda: brute_force_mapping(table),
+        "aggregate": lambda: aggregate(system, columns, mapping),
+        "evaluate": lambda: evaluate(system, expert),
+        "pair_baseline partitions": lambda: pair_baseline(system, flat),
+        "pair_baseline overlapping": lambda: pair_baseline(overlapping, flat),
+    }
+    assert list(calls) == LIBRARY_CALLS
+    assert cyclic_garbage(calls[call]) == 0
