@@ -20,6 +20,7 @@ INHERIT = "inherit"
 OWN_ONLY = "own-only"
 FLATTEN_MODES = (INHERIT, OWN_ONLY)
 _MAX_DEPTH = 100  # levels of a hierarchy document, roots at level 1
+_NO_WORDS: frozenset[str] = frozenset()  # one object, however many trees repeat nothing
 
 
 class DocumentError(ValueError):
@@ -54,6 +55,11 @@ class Clustering:
 
     def is_partition(self) -> bool:
         """True when no word occurs in more than one class (or twice in one)."""
+        return self._is_partition
+
+    @cached_property
+    def _is_partition(self) -> bool:
+        """Decided once: ``pair_baseline`` and the ``baseline`` warnings both ask."""
         return len(set().union(*(c.members for c in self.classes))) == self.total_incidences()
 
     def total_incidences(self) -> int:
@@ -72,10 +78,26 @@ class HierarchyNode:
 
 @dataclass(frozen=True)
 class ExpertHierarchy:
-    """Tree of labeled classes; a flat clustering is the no-children case."""
+    """Tree of labeled classes; a flat clustering is the no-children case.
+
+    A word may belong to several nodes of one tree. ``flatten`` needs, per
+    tree, the words that do; ``parse_hierarchy`` records them from its
+    per-tree word sets, and a hierarchy built by hand finds them from its
+    roots when ``flatten`` first asks.
+    """
 
     name: str
     roots: tuple[HierarchyNode, ...]
+
+    @cached_property
+    def _repeats(self) -> tuple[set[str] | frozenset[str], ...]:
+        """Per root, the words that two or more nodes of its tree own."""
+        repeats = []
+        for root in self.roots:
+            owns = _owned((root,))
+            distinct = len(set().union(*owns)) == sum(map(len, owns))  # no word twice
+            repeats.append(_NO_WORDS if distinct else _repeated_words(owns))
+        return tuple(repeats)
 
 
 @dataclass(frozen=True)
@@ -144,11 +166,17 @@ def _clean_string(value: object, location: str, what: str) -> str:
     return token
 
 
-def _parse_members(raw: object, location: str, allow_empty: bool) -> tuple[str, ...]:
-    """Validate a member list in four whole-list passes, no call per word.
+def _parse_members(
+    raw: object, location: str, allow_empty: bool, seen: set[str] | None
+) -> tuple[str, ...]:
+    """Validate a member list in four whole-list passes, no call per word,
+    and add its words to ``seen``, the words of earlier lists, if given.
 
     Any failed check hands the list to ``_raise_member_error``, which walks
-    it item by item to raise the first error at its JSON path.
+    it item by item to raise the first error at its JSON path. A word that
+    an earlier list holds is no error: the list alone is checked only when
+    it does not grow ``seen`` by its full length, or when there is no
+    ``seen``.
     """
     if raw is None:
         raw = []
@@ -169,9 +197,16 @@ def _parse_members(raw: object, location: str, allow_empty: bool) -> tuple[str, 
         except UnicodeEncodeError:
             _raise_member_error(raw, location)
         words = list(map(partial(unicodedata.normalize, "NFC"), words))
-    unique = set(words)
-    if len(unique) != len(words) or "" in unique:
-        _raise_member_error(raw, location)
+    fits = False  # with no seen set, the list is checked alone
+    if seen is not None:
+        size = len(seen)
+        seen.update(words)
+        # an earlier "" raised, so a "" in seen is this list's
+        fits = len(seen) - size == len(words) and "" not in seen
+    if not fits:
+        unique = set(words)
+        if len(unique) != len(words) or "" in unique:
+            _raise_member_error(raw, location)
     if not words and not allow_empty:
         raise DocumentError(location, "class has no members")
     return tuple(words)
@@ -225,7 +260,7 @@ def parse_clustering(text: str) -> Clustering:
         if label in labels:
             raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
         labels.add(label)
-        members = _parse_members(raw.get("members"), f"{loc}.members", allow_empty=False)
+        members = _parse_members(raw.get("members"), f"{loc}.members", False, None)
         classes.append(LabeledClass(label, members))
     return Clustering(name, tuple(classes))
 
@@ -236,17 +271,38 @@ def parse_hierarchy(text: str) -> ExpertHierarchy:
     A flat document is a valid hierarchy; a node deeper than 100 levels
     fails at its JSON path. A node may omit its members only if it has
     children. Labels may not contain ``/``, the column-path separator.
+
+    Each tree's member lists share one set of words, so each word is hashed
+    once: a list that does not grow it by its full length either has an
+    error of its own or repeats a word of an earlier node, which is
+    allowed. From a tree's first repeat on, each list is checked alone, and
+    once built, the tree is walked again for the words ``flatten`` needs; a
+    tree that repeats no word is not. The result is recorded on the
+    hierarchy.
     """
     name, raw_roots = _parse_document(text)
     labels: set[str] = set()
-    roots = tuple(_parse_node(raw, f"$.classes[{i}]", 1, labels) for i, raw in enumerate(raw_roots))
-    return ExpertHierarchy(name, roots)
+    roots = []
+    repeats = []
+    for i, raw in enumerate(raw_roots):
+        root, words = _parse_node(raw, f"$.classes[{i}]", 1, labels, set())
+        raw_roots[i] = None  # the tree is built: its JSON need not outlive it
+        roots.append(root)
+        repeats.append(_NO_WORDS if words is not None else _repeated_words(_owned((root,))))
+        del words  # else the next tree's set is built while this one lives
+    hierarchy = ExpertHierarchy(name, tuple(roots))
+    vars(hierarchy)["_repeats"] = tuple(repeats)  # fills the cached_property
+    return hierarchy
 
 
-def _parse_node(raw: object, loc: str, depth: int, labels: set[str]) -> HierarchyNode:
-    """Parse one node and its subtree, adding their labels to ``labels``. A
-    module-level function, not a closure, so that no reference cycle keeps
-    the parse's state alive."""
+def _parse_node(
+    raw: object, loc: str, depth: int, labels: set[str], words: set[str] | None
+) -> tuple[HierarchyNode, set[str] | None]:
+    """Parse one node and its subtree, adding their labels to ``labels`` and
+    their words to ``words``, the tree's words so far, or ``None`` once the
+    tree has repeated a word. Return the node and what ``words`` is after
+    the subtree. A module-level function, not a closure, so that no
+    reference cycle keeps the parse's state alive."""
     if depth > _MAX_DEPTH:
         raise DocumentError(loc, f"hierarchy is nested deeper than {_MAX_DEPTH} levels")
     if not isinstance(raw, dict):
@@ -257,16 +313,20 @@ def _parse_node(raw: object, loc: str, depth: int, labels: set[str]) -> Hierarch
     if label in labels:
         raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
     labels.add(label)
-    members = _parse_members(raw.get("members"), f"{loc}.members", allow_empty=True)
+    size = len(words) if words is not None else 0
+    members = _parse_members(raw.get("members"), f"{loc}.members", True, words)
+    if words is not None and len(words) - size != len(members):
+        words = None  # the tree repeats a word: later lists are checked alone
     raw_children = raw.get("children", [])
     if not isinstance(raw_children, list):
         raise DocumentError(f"{loc}.children", "children must be an array")
     children = []
     for j, child in enumerate(raw_children):  # a plain loop: one stack frame per level
-        children.append(_parse_node(child, f"{loc}.children[{j}]", depth + 1, labels))
+        kid, words = _parse_node(child, f"{loc}.children[{j}]", depth + 1, labels, words)
+        children.append(kid)
     if not members and not children:
         raise DocumentError(loc, f"node {label!r} has neither members nor children")
-    return HierarchyNode(label, members, tuple(children))
+    return HierarchyNode(label, members, tuple(children)), words
 
 
 def _owned(nodes: tuple[HierarchyNode, ...]) -> list[tuple[str, ...]]:
@@ -281,11 +341,9 @@ def _owned(nodes: tuple[HierarchyNode, ...]) -> list[tuple[str, ...]]:
     return owns
 
 
-def _repeated_words(root: HierarchyNode) -> set[str]:
-    """The words that two or more nodes of the tree under ``root`` own."""
-    owns = _owned((root,))
-    if len(set().union(*owns)) == sum(map(len, owns)):  # a node's own words are distinct
-        return set()
+def _repeated_words(owns: list[tuple[str, ...]]) -> set[str]:
+    """The words that two or more of the lists ``owns`` hold, each list
+    distinct within itself."""
     seen: set[str] = set()
     repeated: set[str] = set()
     for own in owns:
@@ -305,14 +363,16 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
     a word that one node of a tree owns adds 1 to each column on that
     node's path to the root, and only the words that several nodes of one
     tree own are carried up, as small sets, so each counts once per subtree.
+    Those words come from the hierarchy's per-tree record, which the parser
+    fills in and which a hierarchy built by hand computes on first use.
     """
     if mode not in FLATTEN_MODES:
         raise ValueError(f"unknown flatten mode {mode!r}")
     inherit = mode == INHERIT
+    # own-only sizes need no repeats
+    repeats = hierarchy._repeats if inherit else [_NO_WORDS] * len(hierarchy.roots)
     columns: list[Column | None] = []
-    for root in hierarchy.roots:
-        # a single node repeats no word, and own-only sizes need no repeats
-        repeated = _repeated_words(root) if inherit and root.children else set()
+    for root, repeated in zip(hierarchy.roots, repeats):
         _visit(root, (), repeated, inherit, columns)
     return ColumnList(mode, tuple(columns))  # type: ignore[arg-type]
 
@@ -320,7 +380,7 @@ def flatten(hierarchy: ExpertHierarchy, mode: str = INHERIT) -> ColumnList:
 def _visit(
     node: HierarchyNode,
     prefix: tuple[str, ...],
-    repeated: set[str],
+    repeated: set[str] | frozenset[str],
     inherit: bool,
     columns: list[Column | None],
 ) -> tuple[int, set[str]]:

@@ -663,6 +663,24 @@ def test_baseline_warns_on_overlapping_input(capsys, tmp_path):
     assert "not a partition" in out
 
 
+@pytest.mark.parametrize("overlap", [False, True], ids=["partitions", "overlapping"])
+def test_baseline_tests_each_side_for_a_partition_once(capsys, monkeypatch, tmp_path, overlap):
+    # pair_baseline and the warnings both ask; each parsed side decides once
+    system = tmp_path / "s.json"
+    system.write_text(
+        clustering_doc([("X", ["a", "b"]), ("Y", ["b" if overlap else "c"])]), encoding="utf-8"
+    )
+    calls = []
+    real = model.Clustering.total_incidences
+    monkeypatch.setattr(
+        model.Clustering, "total_incidences", lambda self: calls.append(1) or real(self)
+    )
+    code, out, _ = run(capsys, "baseline", "--system", str(system), "--expert", str(system))
+    assert code == 0
+    assert out.count("not a partition") == (2 if overlap else 0)
+    assert len(calls) == 2
+
+
 def test_baseline_rejects_hierarchy_expert(capsys, tmp_path, golden_files):
     system, _ = golden_files
     expert = tmp_path / "h.json"

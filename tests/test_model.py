@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from clustereval import model
 from clustereval.aggregate import UNMAPPED_POLICIES, aggregate
+from clustereval.cli import main
 from clustereval.mapping import build_f_table, resolve_conflicts
 from clustereval.model import (
     FLATTEN_MODES,
@@ -330,6 +331,16 @@ def test_flatten_counts_a_word_of_several_nodes_once(roots, inherited_sizes, mod
         assert [c.size for c in flatten(h, mode)] == inherited_sizes
 
 
+def _assert_parsed_flattens_as_built_by_hand(text: str) -> None:
+    """The parser's per-tree record, against the one a hand-built hierarchy
+    computes: flatten must read the same from both."""
+    parsed = parse_hierarchy(text)
+    built = ExpertHierarchy(parsed.name, parsed.roots)
+    for mode in FLATTEN_MODES:
+        assert repr(flatten(parsed, mode)) == repr(flatten(built, mode))
+    assert parsed._repeats == built._repeats
+
+
 def _seen_set_repeated_words(root: HierarchyNode) -> set[str]:
     """The earlier walk, which always built a seen set of the tree's words:
     the oracle for model._repeated_words."""
@@ -356,11 +367,12 @@ def test_repeated_words_matches_seen_set_walk(seed, overlap):
         hierarchy_depth=3,
     )
     h = gen_hierarchy(spec)
-    found = [model._repeated_words(root) for root in h.roots]
+    found = [model._repeated_words(model._owned((root,))) for root in h.roots]
     assert found == [_seen_set_repeated_words(root) for root in h.roots]
     assert any(found) == (overlap > 0)
     for mode in FLATTEN_MODES:
         _assert_flatten_matches_eager(h, mode)
+    _assert_parsed_flattens_as_built_by_hand(hierarchy_doc([node_doc(r) for r in h.roots]))
 
 
 def test_scoring_builds_no_inherited_word_set():
@@ -475,6 +487,15 @@ def test_hierarchy_round_trip(seed):
         GenSpec(seed=seed, vocab_size=25, n_classes=2, class_size=(1, 3), hierarchy_depth=2)
     )
     assert parse_hierarchy(hierarchy_doc([node_doc(r) for r in h.roots], h.name)) == h
+
+
+def test_is_partition_is_decided_once(monkeypatch):
+    c = parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["c"])]))
+    calls = []
+    real = Clustering.total_incidences
+    monkeypatch.setattr(Clustering, "total_incidences", lambda self: calls.append(1) or real(self))
+    assert [c.is_partition() for _ in range(3)] == [True] * 3
+    assert len(calls) == 1
 
 
 def test_is_partition():
@@ -631,6 +652,132 @@ def test_parse_hierarchy_matches_per_item_oracle(root, children):
     got, walks = _parsed(parse_hierarchy, text)
     assert got == expected
     assert walks == (isinstance(expected, tuple) and ".members[" in expected[0])
+
+
+# One running word set per tree: a word that an earlier node of the same tree
+# owns is no error, and a list's own duplicate or empty word still fails, in
+# document order, at its own path. "\u00e1" and "a\u0301" are one word after NFC.
+COMPOSED, DECOMPOSED = "\u00e1", "a\u0301"
+
+
+def _repeating_tree(*later: dict) -> dict:
+    """A root whose two children each repeat one of its words, one of them
+    in another spelling, followed by ``later`` children."""
+    kids = [node("K0", [DECOMPOSED, "y"]), node("K1", ["x"]), *later]
+    return node("R", ["x", COMPOSED], kids)
+
+
+def test_a_word_of_two_nodes_of_one_tree_is_accepted_without_a_walk():
+    got, walks = _parsed(parse_hierarchy, hierarchy_doc([_repeating_tree()], name="n"))
+    assert walks == 0  # never reaches _raise_member_error's AssertionError
+    kids = (HierarchyNode("K0", (COMPOSED, "y")), HierarchyNode("K1", ("x",)))
+    assert got == ExpertHierarchy("n", (HierarchyNode("R", ("x", COMPOSED), kids),))
+    assert got._repeats == ({"x", COMPOSED},)
+    assert [c.size for c in flatten(got, INHERIT)] == [3, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "later, index, reason",
+    [
+        (["x", "z", "z"], 2, "duplicate member 'z'"),
+        ([COMPOSED, "z", DECOMPOSED], 2, f"duplicate member {COMPOSED!r}"),
+        (["y", "z", " "], 2, "empty member"),
+        (["", "x"], 0, "empty member"),
+    ],
+    ids=["duplicate", "nfc-duplicate", "blank", "empty-before-a-repeat"],
+)
+def test_a_list_error_after_a_repeat_fails_at_its_path(capsys, tmp_path, later, index, reason):
+    # the third child follows the repeats of the first two; its own error is
+    # reported, not the earlier nodes' words, and a fourth child's is not
+    doc = hierarchy_doc([_repeating_tree(node("K2", later), node("K3", ["w", "w"]))])
+    location = f"$.classes[0].children[2].members[{index}]"
+    assert _parsed(parse_hierarchy, doc) == ((location, reason), 1)
+    system = tmp_path / "s.json"
+    expert = tmp_path / "e.json"
+    system.write_text(clustering_doc([("S", ["x"])]), encoding="utf-8")
+    expert.write_text(doc, encoding="utf-8")
+    assert main(["evaluate", "--system", str(system), "--expert", str(expert)]) == 2
+    assert f"{location}: {reason}" in capsys.readouterr().err
+
+
+def _count_repeated_words(monkeypatch) -> list[set[str]]:
+    """What model._repeated_words returns, one entry per call from now on."""
+    calls: list[set[str]] = []
+    real = model._repeated_words
+
+    def counted(owns: list[tuple[str, ...]]) -> set[str]:
+        calls.append(real(owns))
+        return calls[-1]
+
+    monkeypatch.setattr(model, "_repeated_words", counted)
+    return calls
+
+
+def test_a_word_of_two_trees_repeats_in_neither(monkeypatch):
+    calls = _count_repeated_words(monkeypatch)
+    doc = hierarchy_doc(
+        [node("R", ["a", COMPOSED], [node("K", ["b"])]), node("S", ["b"], [node("L", ["a"])]),
+         node("T", [DECOMPOSED])]
+    )
+    h = parse_hierarchy(doc)
+    assert h._repeats == (set(), set(), set())
+    assert [c.size for c in flatten(h, INHERIT)] == [3, 1, 2, 1, 1]
+    assert calls == []
+
+
+def test_only_a_tree_that_repeats_a_word_is_walked_again(monkeypatch):
+    calls = _count_repeated_words(monkeypatch)
+    doc = hierarchy_doc(
+        [node("A", ["a"], [node("A1", ["b"])]), _repeating_tree(), node("F", ["f"]),
+         node("B", ["a"], [node("B1", ["c"], [node("B2", ["a"])])])]
+    )
+    h = parse_hierarchy(doc)
+    for _ in range(2):
+        for mode in FLATTEN_MODES:
+            flatten(h, mode)
+    assert calls == [{"x", COMPOSED}, {"a"}]  # once per repeating tree, all by the parser
+    calls.clear()
+    built = ExpertHierarchy(h.name, h.roots)
+    for _ in range(2):
+        for mode in FLATTEN_MODES:
+            flatten(built, mode)
+    assert calls == [{"x", COMPOSED}, {"a"}]  # by hand: the same trees, on first use
+    assert built._repeats == h._repeats == (set(), {"x", COMPOSED}, set(), {"a"})
+
+
+def _forest_doc(shape: list[tuple[int, list[str]]]) -> str:
+    """Node i owns ``shape[i][1]`` and is a root when ``shape[i][0]`` is 0,
+    else a child of the earlier node ``(shape[i][0] - 1) % i``."""
+    nodes = [node(f"N{i}", words) for i, (_, words) in enumerate(shape)]
+    roots = []
+    for i, (parent, _) in enumerate(shape):
+        if i and parent:
+            nodes[(parent - 1) % i].setdefault("children", []).append(nodes[i])
+        else:
+            roots.append(nodes[i])
+    return hierarchy_doc(roots)
+
+
+# A few words, several spellings of some, so that trees often repeat one
+SMALL_VOCAB = ["a", "b", "c", " a", "b\u00a0", COMPOSED, DECOMPOSED]
+small_documents = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.lists(
+            st.sampled_from(SMALL_VOCAB),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda w: unicodedata.normalize("NFC", w.strip()),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+).map(_forest_doc)
+
+
+@given(small_documents)
+def test_small_documents_flatten_as_built_by_hand(text):
+    _assert_parsed_flattens_as_built_by_hand(text)
 
 
 def test_member_walk_never_returns_on_a_valid_list():
