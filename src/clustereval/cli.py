@@ -4,15 +4,16 @@ Each ``cmd_*`` returns its whole report as one string, and ``main`` alone
 writes it, once, to stdout as UTF-8 on every locale, so identical inputs and
 flags always produce byte-identical output. Text reports round
 precision/recall to two-decimal percentages and F to two decimals; JSON
-reports carry full precision.
+reports carry full precision. A JSON report is written directly, for its
+fixed shape, with exactly the bytes ``json.dumps(doc, indent=2)`` gives
+its document: strings with ASCII escapes, numbers as their ``repr``.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores its previous state on the way out. The pause is safe because the
 pipeline builds no reference cycles: its parsed trees, columns and tables
 are freed by reference counting alone, so the collector would only rescan
-them. The argument parser and, under ``--format json``, the closures of
-``json.dumps`` are cyclic; a command builds one of each, and the collector
-frees them once it is back on.
+them. The argument parser is cyclic; a command builds one, and the
+collector frees it once it is back on.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import argparse
 import csv
 import gc
 import io
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, aggregate
-from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, _decimal, build_f_table
-from .mapping import resolve_conflicts
+from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, RemapEvent, _decimal
+from .mapping import build_f_table, resolve_conflicts
 from .metrics import ContingencyTable, Scores, pair_baseline
 from .model import (
     FLATTEN_MODES,
@@ -201,6 +202,8 @@ def evaluation_to_dict(
     mapping: MappingResult,
     include_trace: bool,
 ) -> dict:
+    """The ``evaluate`` document of one expert, which ``_evaluation_json``
+    writes directly; the benchmark's traced mirror encodes this one."""
     doc = {
         "expert": expert_path,
         "config": {
@@ -229,31 +232,128 @@ def evaluation_to_dict(
     return doc
 
 
-def table_to_dict(
-    expert_path: str, table: FTable, mapping: MappingResult, include_trace: bool
-) -> dict:
-    doc = {
-        "expert": expert_path,
-        "threshold": mapping.threshold,
-        "rows": table.row_labels,
-        "columns": [_path_str(p) for p in table.col_paths],
-        "cells": table.cells,
-        "mapping": {
-            "pairs": [
-                {
-                    "system_class": table.row_labels[row],
-                    "expert_column": _path_str(table.col_paths[col]),
-                    "f_measure": f,
-                }
-                for row, col, f, _ in mapping.pairs
-            ],
-            "unmapped_rows": [table.row_labels[r] for r in mapping.unmapped_rows],
-            "unmapped_cols": [_path_str(table.col_paths[c]) for c in mapping.unmapped_cols],
-        },
-    }
+# The JSON writer: the bytes json.dumps(doc, indent=2) writes for each
+# command's document, written directly for its fixed shape. Each function
+# returns a value already encoded and laid out for the depth its caller
+# nests it at: ``pad`` is the indent of the value's own items, and its
+# closing bracket sits two spaces to the left. Strings go through the C
+# escaper json.dumps itself uses, and numbers, all finite, are their repr.
+
+
+def _json_list(items: Iterable[str], pad: str) -> str:
+    """A JSON array of encoded items, one a line after ``pad``; ``[]`` when
+    there is none. No encoded value is empty, so an empty join means no
+    item. Items from a generator are freed once joined, before the copy."""
+    body = (",\n" + pad).join(items)
+    return f"[\n{pad}{body}\n{pad[2:]}]" if body else "[]"
+
+
+def _counts_json(t: ContingencyTable, s: Scores, pad: str) -> str:
+    """``_counts_doc``'s members, each after ``pad`` but the first."""
+    return (
+        f'"yy": {t.yy!r},\n{pad}"yn": {t.yn!r},\n{pad}"ny": {t.ny!r},\n{pad}"precision": '
+        f'{s.precision!r},\n{pad}"recall": {s.recall!r},\n{pad}"f_measure": {s.f_measure!r}'
+    )
+
+
+def _trace_json(rows: Sequence[str], cols: Sequence[str], trace: Sequence[RemapEvent]) -> str:
+    """``_trace_doc``'s events, from the encoded row labels and column paths."""
+    p8, p10 = " " * 8, " " * 10
+    return _json_list(
+        (
+            f'{{\n{p10}"system_class": {rows[e.row]},\n{p10}"from_column": {cols[e.from_col]},'
+            f'\n{p10}"to_column": {"null" if e.to_col is None else cols[e.to_col]},'
+            f'\n{p10}"loss": {e.loss!r}\n{p8}}}'
+            for e in trace
+        ),
+        p8,
+    )
+
+
+def _encoded(table: FTable) -> tuple[list[str], list[str]]:
+    """The table's row labels and column paths, each encoded once."""
+    return list(map(_quote, table.row_labels)), [_quote(_path_str(p)) for p in table.col_paths]
+
+
+def _evaluation_json(
+    expert_path: str,
+    report: EvaluationReport,
+    table: FTable,
+    mapping: MappingResult,
+    include_trace: bool,
+) -> str:
+    """``evaluation_to_dict``'s document, written as an item of the report's experts."""
+    p4, p6, p8, p10 = " " * 4, " " * 6, " " * 8, " " * 10
+    pairs = (
+        f'{{\n{p10}"system_class": {_quote(pair.system_label)},\n{p10}"expert_column": '
+        f"{_quote(_path_str(pair.expert_path))},\n{p10}{_counts_json(pair.table, pair.scores, p10)}"
+        f"\n{p8}}}"
+        for pair in report.per_pair
+    )
+    unmapped_system = (
+        f'{{\n{p10}"label": {_quote(label)},\n{p10}"size": {size!r}\n{p8}}}'
+        for label, size in report.unmapped_system
+    )
+    unmapped_expert = (
+        f'{{\n{p10}"column": {_quote(_path_str(path))},\n{p10}"size": {size!r}\n{p8}}}'
+        for path, size in report.unmapped_expert
+    )
+    trace = ""
     if include_trace:
-        doc["trace"] = _trace_doc(table, mapping)
-    return doc
+        trace = f',\n{p6}"trace": {_trace_json(*_encoded(table), mapping.trace)}'
+    return (
+        f'{{\n{p6}"expert": {_quote(expert_path)},\n{p6}"config": {{\n'
+        f'{p8}"threshold": {report.threshold!r},\n'
+        f'{p8}"flatten_mode": {_quote(report.flatten_mode)},\n'
+        f'{p8}"unmapped_columns_policy": {_quote(report.unmapped_policy)}\n{p6}}},\n'
+        f'{p6}"overall": {{\n{p8}{_counts_json(report.overall, report.overall_scores, p8)}'
+        f'\n{p6}}},\n{p6}"pairs": {_json_list(pairs, p8)},\n'
+        f'{p6}"unmapped_system": {_json_list(unmapped_system, p8)},\n'
+        f'{p6}"unmapped_expert": {_json_list(unmapped_expert, p8)}{trace}\n{p4}}}'
+    )
+
+
+def _cells_json(table: FTable, pad: str) -> str:
+    """The dense table as a JSON array, ``pad`` the indent of its rows, in
+    one join over pre-padded cell lines: one zero row, copied for each row,
+    with only that row's nonzero cells written over. A parsed document holds
+    a class, so the table has a row and a column and no array here is empty."""
+    first, rest = f"[\n{pad}  ", f",\n{pad}  "  # the line of a row's first cell opens the row
+    zeros = [first + "0.0", *[rest + "0.0"] * (table.n_cols - 1)]
+    lines = ["[\n" + pad]
+    for ranked in table.rows:
+        row = zeros.copy()
+        for c, f, _, _ in ranked:
+            row[c] = f"{rest if c else first}{f!r}"
+        lines += row
+        lines.append(f"\n{pad}],\n{pad}")
+    lines[-1] = f"\n{pad}]\n{pad[2:]}]"
+    return "".join(lines)
+
+
+def _table_json(
+    expert_path: str, table: FTable, mapping: MappingResult, include_trace: bool
+) -> str:
+    """The F-table, zeros included, and its mapping, written as an item of
+    the report's experts: the members expert, threshold, rows, columns,
+    cells, mapping and, with ``include_trace``, trace."""
+    p4, p6, p8, p10, p12 = " " * 4, " " * 6, " " * 8, " " * 10, " " * 12
+    rows, cols = _encoded(table)
+    pairs = (
+        f'{{\n{p12}"system_class": {rows[r]},\n{p12}"expert_column": {cols[c]},\n'
+        f'{p12}"f_measure": {f!r}\n{p10}}}'
+        for r, c, f, _ in mapping.pairs
+    )
+    trace = f',\n{p6}"trace": {_trace_json(rows, cols, mapping.trace)}' if include_trace else ""
+    return (
+        f'{{\n{p6}"expert": {_quote(expert_path)},\n{p6}"threshold": {mapping.threshold!r},\n'
+        f'{p6}"rows": {_json_list(rows, p8)},\n{p6}"columns": {_json_list(cols, p8)},\n'
+        f'{p6}"cells": {_cells_json(table, p8)},\n'
+        f'{p6}"mapping": {{\n{p8}"pairs": {_json_list(pairs, p10)},\n'
+        f'{p8}"unmapped_rows": {_json_list([rows[r] for r in mapping.unmapped_rows], p10)},\n'
+        f'{p8}"unmapped_cols": {_json_list([cols[c] for c in mapping.unmapped_cols], p10)}\n'
+        f"{p6}}}{trace}\n{p4}}}"
+    )
 
 
 def _experts(
@@ -273,10 +373,11 @@ def _experts(
 
 
 def _report(args: argparse.Namespace, items: list, summary: Sequence = ()) -> str:
-    """Per-expert JSON documents, or text blocks plus the (path, report)
+    """Per-expert JSON blocks, or text blocks plus the (path, report)
     summary when there is more than one expert, as one report."""
     if args.format == "json":
-        return json.dumps({"system": args.system, "experts": items}, indent=2) + "\n"
+        experts = ",\n    ".join(items)  # never empty; one expert's block is not copied here
+        return f'{{\n  "system": {_quote(args.system)},\n  "experts": [\n    {experts}\n  ]\n}}\n'
     out = "\n".join(items)
     if len(summary) > 1:
         out += "\n" + render_summary_text(summary)
@@ -290,7 +391,7 @@ def cmd_evaluate(args: argparse.Namespace) -> str:
         report = aggregate(system, columns, mapping, args.unmapped_cols)
         summary.append((expert_path, report))
         if args.format == "json":
-            items.append(evaluation_to_dict(expert_path, report, table, mapping, args.trace))
+            items.append(_evaluation_json(expert_path, report, table, mapping, args.trace))
         else:
             block = render_evaluation_text(args.system, expert_path, report)
             items.append(block + render_trace_text(table, mapping) if args.trace else block)
@@ -301,7 +402,7 @@ def cmd_table(args: argparse.Namespace) -> str:
     items: list = []
     for _system, expert_path, _columns, table, mapping in _experts(args, [args.threshold]):
         if args.format == "json":
-            items.append(table_to_dict(expert_path, table, mapping, args.trace))
+            items.append(_table_json(expert_path, table, mapping, args.trace))
         else:
             block = render_table_text(args.system, expert_path, table, mapping)
             items.append(block + render_trace_text(table, mapping) if args.trace else block)

@@ -72,7 +72,6 @@ SUBMODULE_PUBLIC = {
         "render_summary_text",
         "render_table_text",
         "render_trace_text",
-        "table_to_dict",
     ],
     "mapping": [
         "BRUTE_FORCE_LIMIT",
