@@ -6,12 +6,16 @@ YES-YES is the sum of the pairs' YES-YES. Every system word incidence that
 no pair counts as YES-YES is YES-NO, whether its class is mapped or not.
 NO-YES is the pairs' NO-YES plus every member of each counted unmapped
 expert column.
+
+``_overall`` states that table from the mapped pairs and totals summed once
+per input. ``sweep`` reads only it; ``aggregate`` adds the per-pair report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 from .mapping import DEFAULT_THRESHOLD, MappingResult, build_f_table, resolve_conflicts
 from .metrics import ContingencyTable, Scores, f_measure, scores
@@ -63,7 +67,7 @@ def aggregate(
     """
     if policy not in UNMAPPED_POLICIES:
         raise ValueError(f"unknown unmapped-column policy {policy!r}")
-    counted = {TOP_LEVEL: columns.is_top_level, LEAVES: columns.is_leaf}.get(policy)
+    counted, _ = _counted(columns, policy)
     rows = sorted([pair[0] for pair in mapping.pairs] + list(mapping.unmapped_rows))
     cols = sorted([pair[1] for pair in mapping.pairs] + list(mapping.unmapped_cols))
     if rows != list(range(len(system.classes))) or cols != list(range(len(columns))):
@@ -82,12 +86,9 @@ def aggregate(
         (system.classes[row].label, len(system.classes[row])) for row in mapping.unmapped_rows
     )
     unmapped = mapping.unmapped_cols if counted is None else filter(counted, mapping.unmapped_cols)
-    unmapped_expert = tuple(map(columns._path_sizes.__getitem__, unmapped))
-    # The check above puts each system class in exactly one pair or in the
-    # unmapped rows, so every incidence not counted as yy is yn.
-    yy = sum(pair.table.yy for pair in per_pair)
-    ny = sum(pair.table.ny for pair in per_pair) + sum(map(itemgetter(1), unmapped_expert))
-    overall = ContingencyTable(yy, system.total_incidences() - yy, ny)
+    path_size = attrgetter("path", "size")
+    unmapped_expert = tuple(map(path_size, map(columns.columns.__getitem__, unmapped)))
+    overall = _overall(system, columns, mapping, policy)
     return EvaluationReport(
         overall=overall,
         overall_scores=scores(overall),
@@ -98,6 +99,33 @@ def aggregate(
         flatten_mode=columns.mode,
         unmapped_policy=policy,
     )
+
+
+def _counted(columns: ColumnList, policy: str) -> tuple[Callable[[int], bool] | None, int]:
+    """Which columns ``policy`` counts toward NO-YES (``None``: all of them),
+    and their summed size, which ``columns`` caches."""
+    if policy == TOP_LEVEL:
+        return columns.is_top_level, columns._top_level_size
+    if policy == LEAVES:
+        return columns.is_leaf, columns._leaf_size
+    return None, columns._total_size
+
+
+def _overall(
+    system: Clustering, columns: ColumnList, mapping: MappingResult, policy: str
+) -> ContingencyTable:
+    """The overall table of a mapping that ``aggregate`` accepts, in O(mapped pairs).
+
+    Each system class is in one pair or unmapped, so every incidence not
+    counted as YES-YES is YES-NO. NO-YES is the policy's total counted size,
+    plus the sizes of the mapped columns it does not count, less YES-YES.
+    """
+    counted, total = _counted(columns, policy)
+    yy = sum(map(itemgetter(3), mapping.pairs))
+    if counted is not None:
+        sizes = columns.columns
+        total += sum(sizes[col].size for _, col, _, _ in mapping.pairs if not counted(col))
+    return ContingencyTable(yy, system.total_incidences() - yy, total - yy)
 
 
 def evaluate(

@@ -27,10 +27,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, aggregate
+from .aggregate import ALL_COLUMNS, UNMAPPED_POLICIES, EvaluationReport, _overall, aggregate
 from .mapping import DEFAULT_THRESHOLD, FTable, MappingResult, RemapEvent, _decimal
 from .mapping import build_f_table, resolve_conflicts
-from .metrics import ContingencyTable, Scores, pair_baseline
+from .metrics import ContingencyTable, Scores, pair_baseline, scores
 from .model import (
     FLATTEN_MODES,
     INHERIT,
@@ -410,11 +410,13 @@ def cmd_table(args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
+    """One CSV row per expert and threshold. A row reads only the overall
+    table, so no per-pair report is built."""
     out = io.StringIO()
     out.write(SWEEP_HEADER + "\n")
     rows = csv.writer(out, lineterminator="\n")
     for system, expert_path, columns, _table, mapping in _experts(args, args.thresholds):
-        s = aggregate(system, columns, mapping, args.unmapped_cols).overall_scores
+        s = scores(_overall(system, columns, mapping, args.unmapped_cols))
         rows.writerow(
             [expert_path, mapping.threshold, len(mapping.pairs), s.precision, s.recall, s.f_measure]
         )

@@ -64,7 +64,12 @@ class Clustering:
 
     def total_incidences(self) -> int:
         """Total (class, word) memberships; overlapping words count once per class."""
-        return sum(len(c) for c in self.classes)
+        return self._total_incidences
+
+    @cached_property
+    def _total_incidences(self) -> int:
+        """Summed once: ``sweep`` asks at every threshold."""
+        return sum(map(len, self.classes))
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,19 @@ class ColumnList:
     def __getitem__(self, index: int) -> Column:
         return self.columns[index]
 
+    # Each policy's summed column sizes, once per list: ``sweep`` starts the
+    # overall NO-YES from one of them at every threshold.
     @cached_property
-    def _path_sizes(self) -> tuple[tuple[tuple[str, ...], int], ...]:
-        """Each column's (path, size), built once: ``aggregate`` reports the
-        unmapped columns as these pairs at every threshold."""
-        return tuple(map(attrgetter("path", "size"), self.columns))
+    def _total_size(self) -> int:
+        return sum(map(attrgetter("size"), self.columns))
+
+    @cached_property
+    def _top_level_size(self) -> int:
+        return sum(c.size for i, c in enumerate(self.columns) if self.is_top_level(i))
+
+    @cached_property
+    def _leaf_size(self) -> int:
+        return sum(c.size for i, c in enumerate(self.columns) if self.is_leaf(i))
 
     def is_top_level(self, index: int) -> bool:
         return len(self.columns[index].path) == 1

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from clustereval.aggregate import (
     ALL_COLUMNS,
     LEAVES,
     TOP_LEVEL,
     UNMAPPED_POLICIES,
+    _overall,
     aggregate,
     evaluate,
 )
@@ -224,3 +227,45 @@ def test_marginal_identities_on_generated_instances(seed):
     assert (report.overall_scores.f_measure == 0.0) == all(
         p.table.yy == 0 for p in report.per_pair
     )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    overlap=st.floats(0.3, 1.0),
+)
+@example(seed=6, depth=3, overlap=1.0)  # its one tree repeats four words
+def test_overall_matches_the_report_it_summarizes(seed, depth, overlap):
+    system = gen_clustering(
+        GenSpec(
+            seed=seed,
+            vocab_size=20,
+            n_classes=2 + seed % 4,
+            class_size=(1, 4),
+            overlap_rate=(seed % 3) * 0.3,
+        )
+    )
+    expert = gen_hierarchy(
+        GenSpec(
+            seed=seed + 1,
+            vocab_size=20,
+            n_classes=1 + seed % 3,
+            class_size=(1, 4),
+            overlap_rate=overlap,
+            hierarchy_depth=depth,
+        )
+    )
+    incidences = sum(len(c.members) for c in system.classes)
+    for mode in FLATTEN_MODES:
+        columns = flatten(expert, mode)
+        table = build_f_table(system, columns)
+        for threshold in (0.0, 0.2, 0.5, 1.0):
+            mapping = resolve_conflicts(table, threshold)
+            for policy in UNMAPPED_POLICIES:
+                report = aggregate(system, columns, mapping, policy)
+                # the overall table as the sum of the report's own parts
+                yy = sum(pair.table.yy for pair in report.per_pair)
+                ny = sum(pair.table.ny for pair in report.per_pair)
+                ny += sum(size for _, size in report.unmapped_expert)
+                expected = ContingencyTable(yy, incidences - yy, ny)
+                assert _overall(system, columns, mapping, policy) == report.overall == expected

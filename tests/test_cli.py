@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from clustereval import cli, model
+from clustereval.aggregate import UNMAPPED_POLICIES
 from clustereval.cli import main
 from clustereval.mapping import FTable, resolve_conflicts
 
@@ -591,20 +592,35 @@ def test_sweep_threshold_one_with_no_perfect_pair(capsys, golden_files):
     assert out.splitlines()[1] == f"{expert},1.0,0,0.0,0.0,0.0"
 
 
-def test_sweep_matches_evaluate_at_same_threshold(capsys, golden_files):
+@pytest.mark.parametrize("threshold", ["0", "0.2", "0.62", "1.0"])
+@pytest.mark.parametrize("flatten", model.FLATTEN_MODES)
+@pytest.mark.parametrize("policy", UNMAPPED_POLICIES)
+def test_sweep_matches_evaluate_at_same_threshold(
+    capsys, tmp_path, golden_files, policy, flatten, threshold
+):
     system, expert = golden_files
-    _, json_out, _ = run(
-        capsys, "evaluate", "--system", system, "--expert", expert, "--format", "json"
+    # beside the flat golden expert, a tree that repeats cat and dog
+    tree = tmp_path / "tree.json"
+    pet = node("PET", ["cat", "dog", "hair"])
+    wild = node("WILD", ["dog", "wolf"], children=[node("CUB", ["pig", "stomach"])])
+    tree.write_text(
+        hierarchy_doc([node("B", CLASS_B_MEMBERS, children=[pet, wild]), node("E", ["x", "cat"])]),
+        encoding="utf-8",
     )
-    overall = json.loads(json_out)["experts"][0]["overall"]
-    _, csv_out, _ = run(
-        capsys, "sweep", "--system", system, "--expert", expert, "--thresholds", "0.2"
-    )
-    _, _, mapped, p, r, f = csv_out.splitlines()[1].split(",")
-    assert int(mapped) == 1
-    assert float(p) == overall["precision"]
-    assert float(r) == overall["recall"]
-    assert float(f) == overall["f_measure"]
+    options = ["--system", system, "--expert", expert, "--expert", str(tree)]
+    options += ["--flatten", flatten, "--unmapped-cols", policy]
+    _, json_out, _ = run(capsys, "evaluate", *options, "--threshold", threshold, "--format", "json")
+    docs = json.loads(json_out)["experts"]
+    _, csv_out, _ = run(capsys, "sweep", *options, "--thresholds", threshold)
+    rows = list(csv.reader(io.StringIO(csv_out)))[1:]
+    assert len(rows) == len(docs) == 2
+    for (path, _, mapped, p, r, f), doc in zip(rows, docs):
+        overall = doc["overall"]
+        assert path == doc["expert"]
+        assert int(mapped) == len(doc["pairs"])
+        assert float(p) == overall["precision"]
+        assert float(r) == overall["recall"]
+        assert float(f) == overall["f_measure"]
 
 
 def test_sweep_quotes_expert_paths(capsys, tmp_path, golden_files):

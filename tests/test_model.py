@@ -498,6 +498,15 @@ def test_is_partition_is_decided_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_total_incidences_is_summed_once(monkeypatch):
+    c = parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["c"])]))
+    calls = []
+    real = LabeledClass.__len__
+    monkeypatch.setattr(LabeledClass, "__len__", lambda self: calls.append(1) or real(self))
+    assert [c.total_incidences() for _ in range(3)] == [3] * 3
+    assert len(calls) == len(c.classes)
+
+
 def test_is_partition():
     assert parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["c"])])).is_partition()
     assert not parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["b"])])).is_partition()
