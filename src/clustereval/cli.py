@@ -12,8 +12,9 @@ A command runs with the cyclic garbage collector paused, and ``main``
 restores its previous state on the way out. The pause is safe because the
 pipeline builds no reference cycles: its parsed trees, columns and tables
 are freed by reference counting alone, so the collector would only rescan
-them. The argument parser is cyclic; a command builds one, and the
-collector frees it once it is back on.
+them. The argument parser is cyclic; ``main`` builds one, and the collector
+frees it once it is back on. It gives options only to the command that
+``argv[0]`` names, if any: the top-level parser takes no value before it.
 """
 
 from __future__ import annotations
@@ -461,68 +462,65 @@ def _threshold_list_arg(raw: str) -> list[float]:
     return [_threshold_arg(part.strip()) for part in items]
 
 
-def _add_io_arguments(parser: argparse.ArgumentParser, reports: bool) -> None:
-    """The input flags; with ``reports``, also the unmapped-column policy."""
-    parser.add_argument("--system", required=True, metavar="PATH", help="system clustering file")
-    parser.add_argument(
-        "--expert",
-        required=True,
-        action="append",
-        metavar="PATH",
-        help="expert hierarchy file (repeatable)",
-    )
-    parser.add_argument(
-        "--flatten", choices=FLATTEN_MODES, default=INHERIT, help="hierarchy flattening mode"
-    )
-    if reports:
-        parser.add_argument(
+_COMMANDS = {  # each command's function and help line, in the top-level help's order
+    "evaluate": (cmd_evaluate, "overall precision/recall/F per expert"),
+    "table": (cmd_table, "dump the F-measure table and resolved mapping"),
+    "sweep": (cmd_sweep, "CSV of scores across thresholds"),
+    "baseline": (cmd_baseline, "pair-cooccurrence baseline (flat inputs only)"),
+}
+
+
+def _add_options(add: Callable[..., object], name: str) -> None:
+    """Give command ``name`` its options through its parser's ``add_argument``."""
+    path = {"required": True, "metavar": "PATH"}
+    if name == "baseline":
+        add("--system", **path)
+        add("--expert", **path)
+        return
+    add("--system", **path, help="system clustering file")
+    add("--expert", **path, action="append", help="expert hierarchy file (repeatable)")
+    add("--flatten", choices=FLATTEN_MODES, default=INHERIT, help="hierarchy flattening mode")
+    if name != "table":
+        add(
             "--unmapped-cols",
-            dest="unmapped_cols",
             choices=UNMAPPED_POLICIES,
             default=ALL_COLUMNS,
             help="which unmapped expert columns count toward NO-YES",
         )
+    if name == "sweep":
+        add(
+            "--thresholds",
+            type=_threshold_list_arg,
+            required=True,
+            metavar="LIST",
+            help="comma-separated thresholds, each in [0, 1]",
+        )
+        return
+    add("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
+    add("--format", choices=("text", "json"), default="text")
+    add("--trace", action="store_true", help="include re-map events")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command is registered with its help line, so the top-level help
+    and errors do not depend on ``command``, but only ``command``'s subparser
+    gets options, or every one when ``command`` names no command."""
     parser = argparse.ArgumentParser(
         prog="clustereval",
         description="Evaluate system word classes against expert gold clusterings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, func, help_text in (
-        ("evaluate", cmd_evaluate, "overall precision/recall/F per expert"),
-        ("table", cmd_table, "dump the F-measure table and resolved mapping"),
-    ):
+    for name, (func, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_io_arguments(p, reports=name == "evaluate")
-        p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--trace", action="store_true", help="include re-map events")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("sweep", help="CSV of scores across thresholds")
-    _add_io_arguments(p, reports=True)
-    p.add_argument(
-        "--thresholds",
-        type=_threshold_list_arg,
-        required=True,
-        metavar="LIST",
-        help="comma-separated thresholds, each in [0, 1]",
-    )
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("baseline", help="pair-cooccurrence baseline (flat inputs only)")
-    p.add_argument("--system", required=True, metavar="PATH")
-    p.add_argument("--expert", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_baseline)
-
+        if command == name or command not in _COMMANDS:
+            _add_options(p.add_argument, name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)  # see the module docstring
     collecting = gc.isenabled()
     gc.disable()  # the command builds no reference cycles; see the module docstring
     try:

@@ -54,7 +54,8 @@ class Clustering:
         return tuple(c.label for c in self.classes)
 
     def is_partition(self) -> bool:
-        """True when no word occurs in more than one class (or twice in one)."""
+        """True when no word occurs in more than one class (or twice in one), as
+        ``parse_clustering`` records; a clustering built by hand decides once."""
         return self._is_partition
 
     @cached_property
@@ -181,9 +182,10 @@ def _clean_string(value: object, location: str, what: str) -> str:
 
 def _parse_members(
     raw: object, location: str, allow_empty: bool, seen: set[str] | None
-) -> tuple[str, ...]:
+) -> tuple[tuple[str, ...], set[str] | None]:
     """Validate a member list in four whole-list passes, no call per word,
     and add its words to ``seen``, the words of earlier lists, if given.
+    Return the words and ``seen``, or ``None`` once a list repeats a word.
 
     Any failed check hands the list to ``_raise_member_error``, which walks
     it item by item to raise the first error at its JSON path. A word that
@@ -210,19 +212,18 @@ def _parse_members(
         except UnicodeEncodeError:
             _raise_member_error(raw, location)
         words = list(map(partial(unicodedata.normalize, "NFC"), words))
-    fits = False  # with no seen set, the list is checked alone
     if seen is not None:
         size = len(seen)
         seen.update(words)
-        # an earlier "" raised, so a "" in seen is this list's
-        fits = len(seen) - size == len(words) and "" not in seen
-    if not fits:
+        if len(seen) - size != len(words) or "" in seen:  # an earlier "" raised
+            seen = None  # a repeated word, or this list's "": the list is checked alone
+    if seen is None:
         unique = set(words)
         if len(unique) != len(words) or "" in unique:
             _raise_member_error(raw, location)
     if not words and not allow_empty:
         raise DocumentError(location, "class has no members")
-    return tuple(words)
+    return tuple(words), seen
 
 
 def _raise_member_error(raw: list, location: str) -> NoReturn:
@@ -259,9 +260,11 @@ def _parse_document(text: str) -> tuple[str, list]:
 
 
 def parse_clustering(text: str) -> Clustering:
-    """Parse and validate a flat clustering document (system side)."""
+    """Parse and validate a flat clustering document (system side). Its member
+    lists share one word set, as a tree's do; ``is_partition`` is whether it lasts."""
     name, raw_classes = _parse_document(text)
     labels: set[str] = set()
+    seen: set[str] | None = set()
     classes: list[LabeledClass] = []
     for i, raw in enumerate(raw_classes):
         loc = f"$.classes[{i}]"
@@ -273,9 +276,11 @@ def parse_clustering(text: str) -> Clustering:
         if label in labels:
             raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
         labels.add(label)
-        members = _parse_members(raw.get("members"), f"{loc}.members", False, None)
+        members, seen = _parse_members(raw.get("members"), f"{loc}.members", False, seen)
         classes.append(LabeledClass(label, members))
-    return Clustering(name, tuple(classes))
+    clustering = Clustering(name, tuple(classes))
+    vars(clustering)["_is_partition"] = seen is not None  # fills the cached_property
+    return clustering
 
 
 def parse_hierarchy(text: str) -> ExpertHierarchy:
@@ -326,10 +331,7 @@ def _parse_node(
     if label in labels:
         raise DocumentError(f"{loc}.label", f"duplicate label {label!r}")
     labels.add(label)
-    size = len(words) if words is not None else 0
-    members = _parse_members(raw.get("members"), f"{loc}.members", True, words)
-    if words is not None and len(words) - size != len(members):
-        words = None  # the tree repeats a word: later lists are checked alone
+    members, words = _parse_members(raw.get("members"), f"{loc}.members", True, words)
     raw_children = raw.get("children", [])
     if not isinstance(raw_children, list):
         raise DocumentError(f"{loc}.children", "children must be an array")

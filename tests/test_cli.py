@@ -110,6 +110,71 @@ def test_table_takes_no_unmapped_column_policy(capsys, golden_files):
         assert run(capsys, *command, *argv)[0] == 0
 
 
+IO = ("--system", "SYS", "--expert", "EXP")
+# Each argv form a user can give: valid runs, each command's help, usage
+# errors a command's own parser reports, and forms the top-level parser
+# reports, where argv[0] names no command.
+PARSER_FORMS = [
+    ("evaluate", *IO, "--trace"),
+    ("table", *IO, "--format", "json"),
+    ("sweep", *IO, "--thresholds", "0.2,0.5"),
+    ("baseline", *IO),
+    *[(command, "--help") for command in ("evaluate", "table", "sweep", "baseline")],
+    ("evaluate", "--system", "SYS"),
+    ("sweep", *IO),
+    ("baseline", "--expert", "EXP"),
+    ("table", *IO, "--unmapped-cols", "leaves"),
+    ("baseline", *IO, "--bogus"),
+    ("evaluate", *IO, "--threshold", "1.5"),
+    ("table", *IO, "--threshold", "0.1000000000000000000001"),
+    ("sweep", *IO, "--thresholds", "0.2,abc"),
+    ("sweep", *IO, "--thresholds", ","),
+    ("--help",),
+    ("-h",),
+    (),
+    ("evaluat", *IO),
+    ("--", "evaluate", *IO),
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    """Exit code, stdout and stderr of ``main``, whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("form", PARSER_FORMS, ids=lambda form: " ".join(form) or "(none)")
+def test_one_command_parser_behaves_as_the_full_parser(capsys, monkeypatch, golden_files, form):
+    # main gives options only to the command argv[0] names; every outcome,
+    # help and usage errors included, is the one the full parser gives
+    argv = [{"SYS": golden_files[0], "EXP": golden_files[1]}.get(a, a) for a in form]
+    one = _outcome(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert _outcome(capsys, argv) == one
+
+
+def _options(parser) -> dict[str, list[list[str]]]:
+    """Each subparser's option strings, by command, in the order added."""
+    (sub,) = parser._subparsers._group_actions
+    return {name: [a.option_strings for a in p._actions] for name, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "table", "sweep", "baseline"])
+def test_build_parser_gives_options_only_to_its_command(command):
+    full = _options(cli.build_parser())
+    assert list(full) == ["evaluate", "table", "sweep", "baseline"]
+    only_help = [["-h", "--help"]]
+    expected = {name: opts if name == command else only_help for name, opts in full.items()}
+    assert _options(cli.build_parser(command)) == expected
+    for other in (None, "evaluat", "--", "-h"):  # no command: every command's options
+        assert _options(cli.build_parser(other)) == full
+
+
 def test_evaluate_json_carries_full_precision(capsys, golden_files):
     system, expert = golden_files
     code, out, _ = run(
@@ -681,7 +746,8 @@ def test_baseline_warns_on_overlapping_input(capsys, tmp_path):
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["partitions", "overlapping"])
 def test_baseline_tests_each_side_for_a_partition_once(capsys, monkeypatch, tmp_path, overlap):
-    # pair_baseline and the warnings both ask; each parsed side decides once
+    # pair_baseline and the warnings both ask; the parse has decided for each
+    # side, so neither counts its incidences to decide again
     system = tmp_path / "s.json"
     system.write_text(
         clustering_doc([("X", ["a", "b"]), ("Y", ["b" if overlap else "c"])]), encoding="utf-8"
@@ -694,7 +760,7 @@ def test_baseline_tests_each_side_for_a_partition_once(capsys, monkeypatch, tmp_
     code, out, _ = run(capsys, "baseline", "--system", str(system), "--expert", str(system))
     assert code == 0
     assert out.count("not a partition") == (2 if overlap else 0)
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 def test_baseline_rejects_hierarchy_expert(capsys, tmp_path, golden_files):
@@ -777,6 +843,23 @@ def test_invalid_document_is_an_input_error_at_its_path(
         expert = str(bad)
     code, out, err = run(capsys, "evaluate", "--system", system, "--expert", expert)
     assert (code, out, err) == (2, "", f"error: {bad}: {location}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+def test_duplicate_after_an_overlap_is_an_input_error_at_its_path(
+    capsys, tmp_path, golden_files, command
+):
+    # once a list repeats an earlier list's word the parse drops its running
+    # word set, and each later list is checked alone, at its own path
+    _, expert = golden_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        clustering_doc([("A", ["a", "b"]), ("B", ["b", "c"]), ("C", ["d", "e", "d"])]),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, command, "--system", str(bad), "--expert", expert)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: $.classes[2].members[2]: duplicate member 'd'\n"
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, golden_files):

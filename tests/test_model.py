@@ -489,11 +489,24 @@ def test_hierarchy_round_trip(seed):
     assert parse_hierarchy(hierarchy_doc([node_doc(r) for r in h.roots], h.name)) == h
 
 
-def test_is_partition_is_decided_once(monkeypatch):
-    c = parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["c"])]))
-    calls = []
+def _count_incidence_calls(monkeypatch) -> list:
+    calls: list = []
     real = Clustering.total_incidences
     monkeypatch.setattr(Clustering, "total_incidences", lambda self: calls.append(1) or real(self))
+    return calls
+
+
+def test_is_partition_is_decided_once(monkeypatch):
+    # the parse records the flag from its word set: no incidence is counted
+    c = parse_clustering(clustering_doc([("A", ["a", "b"]), ("B", ["c"])]))
+    calls = _count_incidence_calls(monkeypatch)
+    assert [c.is_partition() for _ in range(3)] == [True] * 3
+    assert len(calls) == 0
+
+
+def test_hand_built_clustering_decides_is_partition_once(monkeypatch):
+    c = Clustering("hand", (LabeledClass("A", ("a", "b")), LabeledClass("B", ("c",))))
+    calls = _count_incidence_calls(monkeypatch)
     assert [c.is_partition() for _ in range(3)] == [True] * 3
     assert len(calls) == 1
 
@@ -535,6 +548,33 @@ raw_clusterings = st.lists(
 @example(Clustering("repeat", (LabeledClass("A", ("a", "a")),)))
 @example(Clustering("empty class", (LabeledClass("A", ()), LabeledClass("B", ("b",)))))
 def test_is_partition_matches_seen_set_oracle(clustering):
+    assert clustering.is_partition() == _seen_set_is_partition(clustering)
+
+
+# Spellings that clean to shared words: " a" strips to "a", and "e" with a
+# combining acute accent composes to "é", so two lists may share a word that
+# neither spells alike. Each list holds distinct cleaned words, as the parser
+# requires; the small alphabet makes lists share words often, but not always.
+_SPELLINGS = ("a", " a", "b", "c\t", "c", "d", "e\u0301", "\u00e9", "f", "g")
+flat_documents = st.lists(
+    st.lists(
+        st.sampled_from(_SPELLINGS),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda w: unicodedata.normalize("NFC", w.strip()),
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda lists: clustering_doc([(f"C{i}", m) for i, m in enumerate(lists)]))
+
+
+@given(flat_documents)
+@example(clustering_doc([("A", ["a", "b"]), ("B", ["c"])]))
+@example(clustering_doc([("A", ["a", "b"]), ("B", [" b"]), ("C", ["c"])]))
+@example(clustering_doc([("A", ["\u00e9"]), ("B", ["e\u0301"])]))
+def test_parsed_is_partition_matches_seen_set_oracle(doc):
+    # the flag the parse records from its running word set, against the walk
+    clustering = parse_clustering(doc)
     assert clustering.is_partition() == _seen_set_is_partition(clustering)
 
 
