@@ -23,6 +23,7 @@ import argparse
 import csv
 import gc
 import io
+import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -86,17 +87,6 @@ def _counts_text(t: ContingencyTable) -> str:
 
 def _scores_text(s: Scores) -> str:
     return f"precision={_pct(s.precision)} recall={_pct(s.recall)} f-measure={_f2(s.f_measure)}"
-
-
-def _counts_doc(t: ContingencyTable, s: Scores) -> dict:
-    return {
-        "yy": t.yy,
-        "yn": t.yn,
-        "ny": t.ny,
-        "precision": s.precision,
-        "recall": s.recall,
-        "f_measure": s.f_measure,
-    }
 
 
 def render_evaluation_text(system_path: str, expert_path: str, report: EvaluationReport) -> str:
@@ -184,18 +174,6 @@ def render_table_text(
     return "\n".join(lines) + "\n"
 
 
-def _trace_doc(table: FTable, mapping: MappingResult) -> list[dict]:
-    return [
-        {
-            "system_class": table.row_labels[event.row],
-            "from_column": _path_str(table.col_paths[event.from_col]),
-            "to_column": None if event.to_col is None else _path_str(table.col_paths[event.to_col]),
-            "loss": event.loss,
-        }
-        for event in mapping.trace
-    ]
-
-
 def evaluation_to_dict(
     expert_path: str,
     report: EvaluationReport,
@@ -203,34 +181,10 @@ def evaluation_to_dict(
     mapping: MappingResult,
     include_trace: bool,
 ) -> dict:
-    """The ``evaluate`` document of one expert, which ``_evaluation_json``
-    writes directly; the benchmark's traced mirror encodes this one."""
-    doc = {
-        "expert": expert_path,
-        "config": {
-            "threshold": report.threshold,
-            "flatten_mode": report.flatten_mode,
-            "unmapped_columns_policy": report.unmapped_policy,
-        },
-        "overall": _counts_doc(report.overall, report.overall_scores),
-        "pairs": [
-            {
-                "system_class": pair.system_label,
-                "expert_column": _path_str(pair.expert_path),
-                **_counts_doc(pair.table, pair.scores),
-            }
-            for pair in report.per_pair
-        ],
-        "unmapped_system": [
-            {"label": label, "size": size} for label, size in report.unmapped_system
-        ],
-        "unmapped_expert": [
-            {"column": _path_str(path), "size": size} for path, size in report.unmapped_expert
-        ],
-    }
-    if include_trace:
-        doc["trace"] = _trace_doc(table, mapping)
-    return doc
+    """The ``evaluate`` document of one expert, read back from the bytes
+    ``_evaluation_json`` writes. No command calls it; only the benchmark's
+    traced mirror does."""
+    return json.loads(_evaluation_json(expert_path, report, table, mapping, include_trace))
 
 
 # The JSON writer: the bytes json.dumps(doc, indent=2) writes for each
@@ -250,7 +204,8 @@ def _json_list(items: Iterable[str], pad: str) -> str:
 
 
 def _counts_json(t: ContingencyTable, s: Scores, pad: str) -> str:
-    """``_counts_doc``'s members, each after ``pad`` but the first."""
+    """The members yy, yn, ny, precision, recall and f_measure, each after
+    ``pad`` but the first."""
     return (
         f'"yy": {t.yy!r},\n{pad}"yn": {t.yn!r},\n{pad}"ny": {t.ny!r},\n{pad}"precision": '
         f'{s.precision!r},\n{pad}"recall": {s.recall!r},\n{pad}"f_measure": {s.f_measure!r}'
@@ -258,7 +213,7 @@ def _counts_json(t: ContingencyTable, s: Scores, pad: str) -> str:
 
 
 def _trace_json(rows: Sequence[str], cols: Sequence[str], trace: Sequence[RemapEvent]) -> str:
-    """``_trace_doc``'s events, from the encoded row labels and column paths."""
+    """The re-map events, from the encoded row labels and column paths."""
     p8, p10 = " " * 8, " " * 10
     return _json_list(
         (
@@ -283,7 +238,7 @@ def _evaluation_json(
     mapping: MappingResult,
     include_trace: bool,
 ) -> str:
-    """``evaluation_to_dict``'s document, written as an item of the report's experts."""
+    """One expert's ``evaluate`` document, written as an item of the report's experts."""
     p4, p6, p8, p10 = " " * 4, " " * 6, " " * 8, " " * 10
     pairs = (
         f'{{\n{p10}"system_class": {_quote(pair.system_label)},\n{p10}"expert_column": '

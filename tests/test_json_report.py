@@ -2,8 +2,10 @@
 
 ``cli`` writes a JSON report directly, for its fixed shape. Its stdout must
 be the very bytes ``json.dumps(doc, indent=2)`` writes for the document that
-``cli.evaluation_to_dict`` or ``table_to_dict`` below builds from the same
-pipeline objects, on inputs whose labels and paths need every kind of escape.
+``evaluation_to_dict`` or ``table_to_dict`` below builds on its own from the
+same pipeline objects, on inputs whose labels and paths need every kind of
+escape. The CLI itself never builds a document and never calls
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import json
 from contextlib import redirect_stdout
 from itertools import count
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustereval import cli
-from clustereval.aggregate import UNMAPPED_POLICIES, aggregate
+from clustereval.aggregate import UNMAPPED_POLICIES, EvaluationReport, aggregate
 from clustereval.mapping import FTable, MappingResult, build_f_table, resolve_conflicts
+from clustereval.metrics import ContingencyTable, Scores
 from clustereval.model import FLATTEN_MODES, HierarchyNode, flatten, parse_clustering
 from clustereval.model import parse_hierarchy
 
@@ -30,6 +34,66 @@ from testkit import GenSpec, gen_clustering, gen_hierarchy
 
 def _path(path: tuple[str, ...]) -> str:
     return "/".join(path)
+
+
+def _trace_doc(table: FTable, mapping: MappingResult) -> list[dict]:
+    """The re-map events, as both commands report them."""
+    return [
+        {
+            "system_class": table.row_labels[event.row],
+            "from_column": _path(table.col_paths[event.from_col]),
+            "to_column": None if event.to_col is None else _path(table.col_paths[event.to_col]),
+            "loss": event.loss,
+        }
+        for event in mapping.trace
+    ]
+
+
+def _counts_doc(t: ContingencyTable, s: Scores) -> dict:
+    return {
+        "yy": t.yy,
+        "yn": t.yn,
+        "ny": t.ny,
+        "precision": s.precision,
+        "recall": s.recall,
+        "f_measure": s.f_measure,
+    }
+
+
+def evaluation_to_dict(
+    expert_path: str,
+    report: EvaluationReport,
+    table: FTable,
+    mapping: MappingResult,
+    include_trace: bool,
+) -> dict:
+    """The ``evaluate`` command's JSON document for one expert."""
+    doc = {
+        "expert": expert_path,
+        "config": {
+            "threshold": report.threshold,
+            "flatten_mode": report.flatten_mode,
+            "unmapped_columns_policy": report.unmapped_policy,
+        },
+        "overall": _counts_doc(report.overall, report.overall_scores),
+        "pairs": [
+            {
+                "system_class": pair.system_label,
+                "expert_column": _path(pair.expert_path),
+                **_counts_doc(pair.table, pair.scores),
+            }
+            for pair in report.per_pair
+        ],
+        "unmapped_system": [
+            {"label": label, "size": size} for label, size in report.unmapped_system
+        ],
+        "unmapped_expert": [
+            {"column": _path(path), "size": size} for path, size in report.unmapped_expert
+        ],
+    }
+    if include_trace:
+        doc["trace"] = _trace_doc(table, mapping)
+    return doc
 
 
 def table_to_dict(
@@ -56,32 +120,33 @@ def table_to_dict(
         },
     }
     if include_trace:
-        doc["trace"] = [
-            {
-                "system_class": table.row_labels[event.row],
-                "from_column": _path(table.col_paths[event.from_col]),
-                "to_column": None if event.to_col is None else _path(table.col_paths[event.to_col]),
-                "loss": event.loss,
-            }
-            for event in mapping.trace
-        ]
+        doc["trace"] = _trace_doc(table, mapping)
     return doc
+
+
+def _pipeline(args) -> Iterator[tuple[str, EvaluationReport | None, FTable, MappingResult]]:
+    """Per expert: its path, ``evaluate`` report (None for ``table``),
+    F-table and mapping, built from the library as the CLI builds them."""
+    system = parse_clustering(Path(args.system).read_text(encoding="utf-8"))
+    for path in args.expert:
+        columns = flatten(parse_hierarchy(Path(path).read_text(encoding="utf-8")), args.flatten)
+        table = build_f_table(system, columns)
+        mapping = resolve_conflicts(table, args.threshold)
+        report = None
+        if args.command == "evaluate":
+            report = aggregate(system, columns, mapping, args.unmapped_cols)
+        yield path, report, table, mapping
 
 
 def oracle(argv: list[str]) -> bytes:
     """The report ``json.dumps`` writes for the command's documents."""
     args = cli.build_parser().parse_args(argv)
-    system = parse_clustering(Path(args.system).read_text(encoding="utf-8"))
-    docs = []
-    for path in args.expert:
-        columns = flatten(parse_hierarchy(Path(path).read_text(encoding="utf-8")), args.flatten)
-        table = build_f_table(system, columns)
-        mapping = resolve_conflicts(table, args.threshold)
-        if args.command == "evaluate":
-            report = aggregate(system, columns, mapping, args.unmapped_cols)
-            docs.append(cli.evaluation_to_dict(path, report, table, mapping, args.trace))
-        else:
-            docs.append(table_to_dict(path, table, mapping, args.trace))
+    docs = [
+        table_to_dict(path, table, mapping, args.trace)
+        if report is None
+        else evaluation_to_dict(path, report, table, mapping, args.trace)
+        for path, report, table, mapping in _pipeline(args)
+    ]
     text = json.dumps({"system": args.system, "experts": docs}, indent=2) + "\n"
     return text.encode("ascii")
 
@@ -201,6 +266,11 @@ def test_json_report_edge_cases(home, command, threshold, edge):
             argv = _argv(command, [system, *experts], "--format", "json", *trace)
             argv += ["--threshold", threshold]
             assert stdout(argv) == oracle(argv)
+            if command == "evaluate":  # the benchmark's traced mirror reads the bytes back
+                args = cli.build_parser().parse_args(argv)
+                for path, report, table, mapping in _pipeline(args):
+                    doc = evaluation_to_dict(path, report, table, mapping, args.trace)
+                    assert cli.evaluation_to_dict(path, report, table, mapping, args.trace) == doc
 
 
 @pytest.mark.parametrize(
@@ -217,3 +287,24 @@ def test_json_report_edge_cases_reach_their_edge(home, edge, promise):
     out = stdout(argv).decode("ascii")
     assert promise in out
     assert "/\\u03a9-\\ud835\\udd38/" in out  # the path's Ω and 𝔸, escaped
+
+
+def test_no_command_builds_a_document_or_calls_json_dumps(home, monkeypatch):
+    """Every command writes the same report with ``cli.evaluation_to_dict``
+    and ``json.dumps`` made to raise: neither is on the CLI's path."""
+    system, expert = _edge_files(home, "drop-out")
+    argvs = [
+        _argv(command, [system, expert], "--format", "json", *trace)
+        for command in ("evaluate", "table")
+        for trace in ([], ["--trace"])
+    ]
+    argvs.append(_argv("sweep", [system, expert], "--thresholds", "0,0.5"))
+    argvs.append(_argv("baseline", [system, expert]))
+    expected = [stdout(argv) for argv in argvs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the CLI path")
+
+    monkeypatch.setattr(cli, "evaluation_to_dict", forbidden)
+    monkeypatch.setattr(json, "dumps", forbidden)
+    assert [stdout(argv) for argv in argvs] == expected
